@@ -27,7 +27,7 @@ from .errors import (
 from .loopir.ast import Kernel
 from .loopir.component import TilableComponent
 from .loopir.fission import FissionResult, fission_kernel
-from .loopir.looptree import LoopTree
+from .loopir.looptree import LoopTree, statement_infos
 from .opt.cache import PersistentCache
 from .opt.exhaustive import ExhaustiveOptimizer
 from .opt.greedy import GreedyOptimizer
@@ -37,6 +37,7 @@ from .opt.pruned import DEFAULT_PRUNED_MAX_POINTS, PrunedOptimizer
 from .opt.robust import RobustOptimizer
 from .opt.solution import Solution
 from .opt.tree import TreeOptimizer, TreeOptResult
+from .poly.dependence import DependenceAnalyzer
 from .prem.codegen import CodeGenerator
 from .prem.runtime import SequentialInterpreter, init_arrays, run_kernel_prem
 from .prem.segments import ComponentPlan, SegmentPlanner
@@ -281,19 +282,7 @@ class PremCompiler:
                 f"strategy {strategy!r} does not support sharding; "
                 f"--shard needs an enumerated candidate space "
                 f"(pruned, robust, or pareto)")
-        if fission not in ("off", "auto"):
-            raise ValueError(
-                f"unknown fission mode {fission!r}; use 'off' or 'auto'")
-        fission_result: Optional[FissionResult] = None
-        if fission == "auto":
-            if tree is not None:
-                raise ValueError(
-                    "fission='auto' transforms the kernel and rebuilds "
-                    "the loop tree; an explicit tree cannot be combined "
-                    "with it")
-            fission_result = fission_kernel(kernel)
-            kernel = fission_result.kernel
-        tree = tree or LoopTree.build(kernel)
+        kernel, tree, fission_result = self._front_end(kernel, tree, fission)
         if strategy == "sequential":
             return self._compile_sequential(kernel, tree, fission_result)
         optimizer = optimizer or TreeOptimizer(
@@ -384,19 +373,7 @@ class PremCompiler:
         pre-pass runs once up front and every stage compiles the
         distributed kernel.
         """
-        fission_result: Optional[FissionResult] = None
-        if fission == "auto":
-            if tree is not None:
-                raise ValueError(
-                    "fission='auto' transforms the kernel and rebuilds "
-                    "the loop tree; an explicit tree cannot be combined "
-                    "with it")
-            fission_result = fission_kernel(kernel)
-            kernel = fission_result.kernel
-        elif fission != "off":
-            raise ValueError(
-                f"unknown fission mode {fission!r}; use 'off' or 'auto'")
-        tree = tree or LoopTree.build(kernel)
+        kernel, tree, fission_result = self._front_end(kernel, tree, fission)
         attempts: List[StageAttempt] = []
         for strategy in strategies:
             started = time.perf_counter()
@@ -430,6 +407,40 @@ class PremCompiler:
         raise CompilationError(
             f"all strategies failed for kernel {kernel.name}: "
             + "; ".join(a.describe() for a in attempts))
+
+    # -- front end ---------------------------------------------------------
+
+    @staticmethod
+    def _front_end(kernel: Kernel, tree: Optional[LoopTree], fission: str
+                   ) -> Tuple[Kernel, LoopTree, Optional[FissionResult]]:
+        """Validate *fission*, run the optional fission pre-pass and build
+        the loop tree (unless *tree* is given): the kernel to compile, its
+        tree and the fission record.
+
+        With ``fission="auto"`` the original and the distributed kernel
+        are each analyzed once, and both analyses share one feasibility
+        verdict memo that lives only as long as this compile.
+        """
+        if fission not in ("off", "auto"):
+            raise ValueError(
+                f"unknown fission mode {fission!r}; use 'off' or 'auto'")
+        if fission == "off":
+            return kernel, tree or LoopTree.build(kernel), None
+        if tree is not None:
+            raise ValueError(
+                "fission='auto' transforms the kernel and rebuilds "
+                "the loop tree; an explicit tree cannot be combined "
+                "with it")
+        memo: Dict[tuple, Dict[tuple, bool]] = {}
+
+        def dependences(version: Kernel):
+            return DependenceAnalyzer(
+                statement_infos(version), memo).analyze()
+
+        fission_result = fission_kernel(kernel, dependences(kernel))
+        kernel = fission_result.kernel
+        return kernel, LoopTree.build(kernel, dependences(kernel)), \
+            fission_result
 
     # -- stage builders ---------------------------------------------------
 

@@ -103,6 +103,21 @@ class ConstraintSystem:
     def satisfied(self, assignment: Mapping[str, int]) -> bool:
         return all(c.satisfied(assignment) for c in self._constraints)
 
+    def canonical(self) -> tuple:
+        """The system up to variable names and constraint order.
+
+        Variables are renamed to their position in sorted-name order and
+        the constraints are sorted, so two systems with equal canonical
+        forms differ by a variable renaming and a reordering: they have
+        the same solutions up to renaming, hence the same feasibility.
+        """
+        index = {v: i for i, v in enumerate(sorted(self.variables()))}
+        return tuple(sorted(
+            (c.kind,
+             tuple((index[v], k) for v, k in c.expr.coeffs.items()),
+             c.expr.constant)
+            for c in self._constraints))
+
     def copy(self) -> "ConstraintSystem":
         return ConstraintSystem(self._constraints)
 

@@ -16,22 +16,29 @@ build the affine system
     src in D_src  and  dst in D_dst  and  subscripts equal
     and the chosen direction prefix over the shared loops,
 
-and decide feasibility with the rational Fourier–Motzkin test (plus a GCD
-pre-test).  Directions are enumerated hierarchically outermost-first with
-pruning, under the constraint that the first non-'=' level must be '<'
-(source lexicographically before sink — pairs in ``Dep`` are ordered by the
+and decide its rational feasibility with :func:`repro.poly.fm.is_feasible`
+(a GCD pre-test, then exact Gaussian substitution of the subscript and
+``=`` equalities, then Fourier–Motzkin on the remaining inequalities).
+Directions are enumerated hierarchically outermost-first with pruning,
+under the constraint that the first non-'=' level must be '<' (source
+lexicographically before sink — pairs in ``Dep`` are ordered by the
 original schedule).  The analysis is conservative: a rationally feasible
 system is reported as a real dependence.
+
+Many statement and access pairs build the same system up to variable
+names, so an analyzer memoizes verdicts on the canonical system (see
+:meth:`ConstraintSystem.canonical`).  The memo belongs to one compile (see
+:class:`DependenceAnalyzer`), never to the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .access import Access, Array
-from .affine import AffineExpr
+from .affine import AffineExpr, lex_compare
 from .constraint import Constraint, ConstraintSystem
 from .domain import Domain
 from .fm import is_feasible
@@ -59,7 +66,7 @@ def carried_level(direction: Tuple[str, ...]):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dependence:
     """One dependence edge of the ``Dep`` set (Eq. 2.1), summarised.
 
@@ -160,10 +167,28 @@ def shared_prefix(a: Sequence[str], b: Sequence[str]) -> Tuple[str, ...]:
 
 
 class DependenceAnalyzer:
-    """Computes the ``Dep`` set for a list of statements."""
+    """Computes the ``Dep`` set for a list of statements.
 
-    def __init__(self, statements: Sequence[StatementInfo]):
+    *memo* is the verdict memo.  It maps an access pair's base system
+    in canonical form (:meth:`ConstraintSystem.canonical`, plus the
+    positions of the shared loops' source and sink variables in it) to
+    the verdicts of that system under each direction prefix, so equal
+    keys mean equal systems up to renaming.  A compile that analyzes
+    more than one kernel version (the original and the fissioned one)
+    passes one dict to both analyzers; without one, each analyzer starts
+    its own.  A hit skips the feasibility test, a miss builds the system
+    and runs it.  The memo must not outlive the compile: a process-wide
+    one would grow without bound in a long-lived process and make a
+    compile's cost depend on what ran before it.
+    """
+
+    def __init__(self, statements: Sequence[StatementInfo],
+                 memo: Optional[Dict[tuple, Dict[tuple, bool]]] = None):
         self._stmts = list(statements)
+        self._memo = {} if memo is None else memo
+        #: One shared frozenset per distinct direction set, so the
+        #: dependences of a result do not each hold a copy.
+        self._direction_sets: Dict[FrozenSet, FrozenSet] = {}
 
     def analyze(self) -> List[Dependence]:
         """All dependences between every ordered statement pair."""
@@ -195,15 +220,19 @@ class DependenceAnalyzer:
     def _test_access_pair(self, src, dst, src_access, dst_access,
                           shared, kind):
         base = self._base_system(src, dst, src_access, dst_access)
-        if not is_feasible(base):
+        position = {v: i for i, v in enumerate(sorted(base.variables()))}
+        verdicts = self._memo.setdefault((base.canonical(), tuple(
+            (position[_SRC + var], position[_DST + var]) for var in shared)),
+            {})
+        if not self._feasible(base, shared, verdicts, ()):
             return None
 
         loop_independent = self._loop_independent_feasible(
-            src, dst, base, shared)
+            src, dst, base, shared, verdicts)
 
         directions = set()
         if shared:
-            self._enumerate(base, shared, [], directions)
+            self._enumerate(base, shared, verdicts, (), directions)
 
         if not directions and not loop_independent:
             return None
@@ -213,7 +242,8 @@ class DependenceAnalyzer:
             array=src_access.array.name,
             kind=kind,
             shared_loops=shared,
-            directions=frozenset(directions),
+            directions=self._direction_sets.setdefault(
+                frozenset(directions), frozenset(directions)),
             loop_independent=loop_independent,
         )
 
@@ -232,7 +262,8 @@ class DependenceAnalyzer:
             system.add(Constraint.eq(lhs, rhs))
         return system
 
-    def _loop_independent_feasible(self, src, dst, base, shared) -> bool:
+    def _loop_independent_feasible(self, src, dst, base, shared,
+                                   verdicts) -> bool:
         """All shared levels '=' and src textually precedes dst."""
         depth = len(shared)
         src_statics = src.schedule.statics_below(depth)
@@ -241,31 +272,19 @@ class DependenceAnalyzer:
             # Same instance: not a dependence between distinct instances.
             return False
         width = min(len(src_statics), len(dst_statics))
-        from .affine import lex_compare
         if lex_compare(src_statics[:width], dst_statics[:width]) >= 0:
             return False
-        system = base.copy()
-        for var in shared:
-            system.add(Constraint.eq(_SRC + var, AffineExpr.var(_DST + var)))
-        return is_feasible(system)
+        return self._feasible(base, shared, verdicts, (EQ_DIR,) * depth)
 
-    def _enumerate(self, base, shared, prefix, out):
-        """Hierarchical direction enumeration with feasibility pruning."""
-        level = len(prefix)
-        if level == len(shared):
-            if any(d == LT for d in prefix):
-                out.add(tuple(prefix))
-            return
-
-        # Before the first '<', only '<' and '=' are admissible (the source
-        # must precede the sink lexicographically).
-        first_lt_seen = LT in prefix
-        candidates = (LT, EQ_DIR, GT) if first_lt_seen else (LT, EQ_DIR)
-
-        for direction in candidates:
+    @staticmethod
+    def _feasible(base, shared, verdicts, prefix) -> bool:
+        """Whether *base* plus the direction *prefix* over the outermost
+        shared loops is feasible, looked up in (or added to) *verdicts*,
+        the memo entry of *base*'s canonical form."""
+        verdict = verdicts.get(prefix)
+        if verdict is None:
             system = base.copy()
-            ok = True
-            for var, chosen in zip(shared, [*prefix, direction]):
+            for var, chosen in zip(shared, prefix):
                 src_var = AffineExpr.var(_SRC + var)
                 dst_var = AffineExpr.var(_DST + var)
                 if chosen == LT:
@@ -274,8 +293,23 @@ class DependenceAnalyzer:
                     system.add(Constraint.eq(dst_var, src_var))
                 else:
                     system.add(Constraint.lt(dst_var, src_var))
-            if is_feasible(system):
-                self._enumerate(base, shared, [*prefix, direction], out)
+            verdict = verdicts[prefix] = is_feasible(system)
+        return verdict
+
+    def _enumerate(self, base, shared, verdicts, prefix, out):
+        """Hierarchical direction enumeration with feasibility pruning."""
+        if len(prefix) == len(shared):
+            if LT in prefix:
+                out.add(prefix)
+            return
+
+        # Before the first '<', only '<' and '=' are admissible (the source
+        # must precede the sink lexicographically).
+        candidates = (LT, EQ_DIR, GT) if LT in prefix else (LT, EQ_DIR)
+        for direction in candidates:
+            extended = (*prefix, direction)
+            if self._feasible(base, shared, verdicts, extended):
+                self._enumerate(base, shared, verdicts, extended, out)
 
 
 def _dependence_kind(src_access: Access, dst_access: Access) -> str:
@@ -306,7 +340,6 @@ def concrete_pairs(src: StatementInfo, dst: StatementInfo,
             src_ts = src.schedule.evaluate(src_point)
             dst_ts = dst.schedule.evaluate(dst_point)
             width = min(len(src_ts), len(dst_ts))
-            from .affine import lex_compare
             if lex_compare(src_ts[:width], dst_ts[:width]) < 0:
                 pairs.append((src_point, dst_point))
                 if len(pairs) >= limit:

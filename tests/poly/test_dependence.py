@@ -171,3 +171,63 @@ class TestKindsAndDisjointness:
         s1 = StatementInfo("S1", dom, kelly(0, "i", 0), [write(a, "i")])
         s2 = StatementInfo("S2", dom, kelly(0, "i", 1), [read(b, "i")])
         assert DependenceAnalyzer([s1, s2]).analyze() == []
+
+
+class TestVerdictMemo:
+    """The verdict memo belongs to the analyses that are handed it."""
+
+    @pytest.fixture()
+    def fm_calls(self, monkeypatch):
+        from repro.poly import fm
+
+        calls = []
+        real = fm.check_feasibility
+
+        def counted(system):
+            calls.append(system)
+            return real(system)
+
+        monkeypatch.setattr(fm, "check_feasibility", counted)
+        return calls
+
+    def test_fresh_analyzers_do_not_share_verdicts(self, fm_calls):
+        from repro.kernels import make_kernel
+        from repro.loopir import analyze_dependences
+
+        kernel = make_kernel("lstm", "MINI")
+        first = analyze_dependences(kernel)
+        once = len(fm_calls)
+        assert once > 0
+        assert analyze_dependences(kernel) == first
+        assert len(fm_calls) == 2 * once
+
+    def test_shared_memo_answers_a_repeated_analysis(self, fm_calls):
+        from repro.kernels import make_kernel
+        from repro.loopir import statement_infos
+
+        infos = statement_infos(make_kernel("lstm", "MINI"))
+        memo = {}
+        first = DependenceAnalyzer(infos, memo).analyze()
+        once = len(fm_calls)
+        assert DependenceAnalyzer(infos, memo).analyze() == first
+        assert len(fm_calls) == once
+
+    def test_renamed_statement_hits_the_memo(self, fm_calls):
+        array = Array("a", (9,))
+
+        def stmt(name, var):
+            return StatementInfo(
+                name=name,
+                domain=Domain([LoopRange(var, 0, 8)]),
+                schedule=kelly(0, var, 0),
+                accesses=[write(array, var), read(array, aff(var) - 1)],
+            )
+
+        memo = {}
+        first = DependenceAnalyzer([stmt("S", "i")], memo).analyze()
+        once = len(fm_calls)
+        assert once > 0
+        renamed = DependenceAnalyzer([stmt("T", "j")], memo).analyze()
+        assert len(fm_calls) == once
+        assert [d.directions for d in renamed] == \
+            [d.directions for d in first] != []
