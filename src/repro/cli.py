@@ -219,10 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help=f"shared cache directory (also honours ${CACHE_ENV})")
-    shard_cmd.add_argument(
-        "--stale-s", type=float, default=600.0, metavar="S",
-        help="claims older than this without a done record count "
-             "as stale (reclaimable)")
     return parser
 
 
@@ -646,10 +642,11 @@ def cmd_cache(args) -> int:
 
 def cmd_shard_reduce(args) -> int:
     """Merge shard results: one unsharded --pruned compile on the now
-    warm shared cache.  Every candidate a shard scored is a cache hit
-    (zero fresh segment plans) and the incumbent walk re-runs the exact
-    serial rank, so the reported winner is bit-identical to a
-    single-process compile."""
+    warm shared cache, seeded with the best winner the shards published.
+    The walk validates the seed against its own candidates and the
+    cache, prunes only what cannot beat it and replays every candidate
+    a shard scored from the cache, so the reported winner is
+    bit-identical to a single-process compile."""
     if _cache(args) is None:
         raise KernelConfigError(
             "shard-reduce needs the shared cache the shard workers "
@@ -676,7 +673,7 @@ def cmd_shard(args) -> int:
             "shard status needs the shared cache directory: pass "
             f"--cache-dir or set ${CACHE_ENV}")
     log = ShardLog(directory)
-    statuses = space_statuses(log, stale_s=args.stale_s)
+    statuses = space_statuses(log)
     if not statuses:
         print(f"no shard coordination records in {log.path}")
         return 0

@@ -29,12 +29,14 @@ from .loopir.component import TilableComponent
 from .loopir.fission import FissionResult, fission_kernel
 from .loopir.looptree import LoopTree, statement_infos
 from .opt.cache import PersistentCache
+from .opt.component import ComponentOptimizer
 from .opt.exhaustive import ExhaustiveOptimizer
 from .opt.greedy import GreedyOptimizer
 from .opt.ideal import ideal_makespan_ns
 from .opt.pareto import ParetoOptimizer
 from .opt.pruned import DEFAULT_PRUNED_MAX_POINTS, PrunedOptimizer
 from .opt.robust import RobustOptimizer
+from .opt.shard import StaticShardExchange, reduce_seed
 from .opt.solution import Solution
 from .opt.tree import TreeOptimizer, TreeOptResult
 from .poly.dependence import DependenceAnalyzer
@@ -48,6 +50,10 @@ from .timing.platform import DEFAULT_PLATFORM, Platform
 #: Degradation order of :meth:`PremCompiler.compile_robust` — the best
 #: optimizer first, the unconditionally feasible strategy last.
 FALLBACK_CHAIN: Tuple[str, ...] = ("exhaustive", "greedy", "sequential")
+
+#: Strategies that enumerate their candidate space, so ``shards=`` can
+#: slice it.
+SHARDABLE_STRATEGIES: Tuple[str, ...] = ("pruned", "robust", "pareto")
 
 
 @dataclass
@@ -276,8 +282,7 @@ class PremCompiler:
         """
         jobs = self.jobs if jobs is None else jobs
         cache = self.cache if cache is None else cache
-        if shards is not None and strategy not in (
-                "pruned", "robust", "pareto"):
+        if shards is not None and strategy not in SHARDABLE_STRATEGIES:
             raise ValueError(
                 f"strategy {strategy!r} does not support sharding; "
                 f"--shard needs an enumerated candidate space "
@@ -285,46 +290,56 @@ class PremCompiler:
         kernel, tree, fission_result = self._front_end(kernel, tree, fission)
         if strategy == "sequential":
             return self._compile_sequential(kernel, tree, fission_result)
+
+        # Strategy -> (component search class, its keyword arguments).
+        common = dict(segment_cap=self.segment_cap, deadline=deadline,
+                      budget_s=budget_s, cache=cache)
+        enumerated = dict(common, max_points=self.pruned_max_points,
+                          jobs=jobs, shard_of=shards)
+        searches = {
+            "heuristic": (ComponentOptimizer, dict(
+                common, max_iter=self.max_iter, seed=self.seed, jobs=jobs)),
+            "greedy": (GreedyOptimizer, common),
+            "exhaustive": (ExhaustiveOptimizer, dict(
+                common, max_points=self.exhaustive_max_points, jobs=jobs)),
+            "pruned": (PrunedOptimizer, enumerated),
+            "pareto": (ParetoOptimizer, enumerated),
+            "robust": (RobustOptimizer, dict(
+                enumerated, scenarios=scenarios, seed=self.seed,
+                spread=spread, risk=risk, alpha=alpha)),
+        }
+        if strategy not in searches:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        search_cls, kwargs = searches[strategy]
+
+        def optimize_fn(component, exec_model):
+            search = search_cls(
+                component, self.platform, exec_model, **kwargs)
+            exchange = self._shard_exchange(search, shards, cache)
+            # Only the scalar pruned incumbent is comparable across
+            # shards: a pareto archive or a risk winner cannot adopt or
+            # publish one, so those shards publish progress only.
+            scalar = strategy == "pruned"
+            if exchange is not None and scalar:
+                # Seed with the best rank any sibling shard published;
+                # this can only increase pruning.
+                search.incumbent = exchange.seed()
+            elif scalar and cache is not None:
+                # An unsharded walk over a shard cache is the reduce:
+                # the best published rank, once the walk has validated
+                # it, prunes every candidate no shard scored.
+                search.incumbent = reduce_seed(
+                    cache.directory, search.evaluator.context_hash)
+            result = search.optimize(cores)
+            if exchange is not None:
+                exchange.publish(component, result, winner=scalar)
+            return result
+
         optimizer = optimizer or TreeOptimizer(
             tree, machine=self.machine, max_iter=self.max_iter,
             seed=self.seed, segment_cap=self.segment_cap)
-
-        if strategy == "heuristic":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._heuristic_fn(
-                    cores, deadline, budget_s, jobs, cache))
-        elif strategy == "greedy":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._greedy_fn(
-                    cores, deadline, budget_s, cache))
-        elif strategy == "exhaustive":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._exhaustive_fn(
-                    cores, deadline, budget_s, jobs, cache))
-        elif strategy == "pruned":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._pruned_fn(
-                    cores, deadline, budget_s, jobs, cache,
-                    shards=shards))
-        elif strategy == "pareto":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._pareto_fn(
-                    cores, deadline, budget_s, jobs, cache,
-                    shards=shards))
-        elif strategy == "robust":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._robust_fn(
-                    cores, deadline, budget_s, jobs, cache,
-                    scenarios=scenarios, risk=risk, alpha=alpha,
-                    spread=spread, shards=shards))
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        result = optimizer.optimize(
+            self.platform, cores=cores, optimize_fn=optimize_fn)
 
         components = []
         for choice in result.choices:
@@ -472,138 +487,20 @@ class PremCompiler:
             fission=fission_result,
         )
 
-    def _heuristic_fn(self, cores: Optional[int],
-                      deadline: Optional[float], budget_s: float,
-                      jobs: int = 1,
-                      cache: Optional[PersistentCache] = None):
-        from .opt.component import ComponentOptimizer
-
-        def optimize_fn(component, exec_model):
-            optimizer = ComponentOptimizer(
-                component, self.platform, exec_model,
-                max_iter=self.max_iter, seed=self.seed,
-                segment_cap=self.segment_cap,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache)
-            return optimizer.optimize(cores)
-
-        return optimize_fn
-
-    def _greedy_fn(self, cores: Optional[int],
-                   deadline: Optional[float] = None,
-                   budget_s: float = 0.0,
-                   cache: Optional[PersistentCache] = None):
-        platform = self.platform
-        segment_cap = self.segment_cap
-
-        def optimize_fn(component, exec_model):
-            greedy = GreedyOptimizer(
-                component, platform, exec_model, segment_cap=segment_cap,
-                deadline=deadline, budget_s=budget_s, cache=cache)
-            return greedy.optimize(cores)
-
-        return optimize_fn
-
-    def _exhaustive_fn(self, cores: Optional[int],
-                       deadline: Optional[float], budget_s: float,
-                       jobs: int = 1,
-                       cache: Optional[PersistentCache] = None):
-        def optimize_fn(component, exec_model):
-            exhaustive = ExhaustiveOptimizer(
-                component, self.platform, exec_model,
-                segment_cap=self.segment_cap,
-                max_points=self.exhaustive_max_points,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache)
-            return exhaustive.optimize(cores)
-
-        return optimize_fn
-
-    def _pruned_fn(self, cores: Optional[int],
-                   deadline: Optional[float], budget_s: float,
-                   jobs: int = 1,
-                   cache: Optional[PersistentCache] = None,
-                   shards: Optional[Tuple[int, int]] = None):
-        def optimize_fn(component, exec_model):
-            pruned = PrunedOptimizer(
-                component, self.platform, exec_model,
-                segment_cap=self.segment_cap,
-                max_points=self.pruned_max_points,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache, shard_of=shards)
-            exchange = self._shard_exchange(
-                pruned.evaluator.context_hash, shards, cache)
-            if exchange is not None:
-                # Seed this shard with the best rank any sibling shard
-                # has already published; can only increase pruning.
-                pruned.incumbent = exchange.seed()
-            result = pruned.optimize(cores)
-            if exchange is not None:
-                exchange.publish(component, result)
-            return result
-
-        return optimize_fn
-
-    def _pareto_fn(self, cores: Optional[int],
-                   deadline: Optional[float], budget_s: float,
-                   jobs: int = 1,
-                   cache: Optional[PersistentCache] = None,
-                   shards: Optional[Tuple[int, int]] = None):
-        def optimize_fn(component, exec_model):
-            pareto = ParetoOptimizer(
-                component, self.platform, exec_model,
-                segment_cap=self.segment_cap,
-                max_points=self.pruned_max_points,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache, shard_of=shards)
-            result = pareto.optimize(cores)
-            # A dominance archive cannot adopt a scalar incumbent, so
-            # pareto shards publish progress records only.
-            exchange = self._shard_exchange(
-                pareto.evaluator.context_hash, shards, cache)
-            if exchange is not None:
-                exchange.publish(component, result, winner=False)
-            return result
-
-        return optimize_fn
-
-    def _robust_fn(self, cores: Optional[int],
-                   deadline: Optional[float], budget_s: float,
-                   jobs: int = 1,
-                   cache: Optional[PersistentCache] = None,
-                   scenarios: int = 32, risk: str = "cvar",
-                   alpha: float = 0.9, spread: float = 0.2,
-                   shards: Optional[Tuple[int, int]] = None):
-        def optimize_fn(component, exec_model):
-            robust = RobustOptimizer(
-                component, self.platform, exec_model,
-                segment_cap=self.segment_cap,
-                scenarios=scenarios, seed=self.seed, spread=spread,
-                risk=risk, alpha=alpha,
-                max_points=self.pruned_max_points,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache, shard_of=shards)
-            result = robust.optimize(cores)
-            # Risk winners are not nominal-rank comparable across
-            # shards through the makespan log; publish progress only.
-            exchange = self._shard_exchange(
-                robust._nominal_search.evaluator.context_hash,
-                shards, cache)
-            if exchange is not None:
-                exchange.publish(component, result, winner=False)
-            return result
-
-        return optimize_fn
-
-    def _shard_exchange(self, context_hash: Optional[str],
-                        shards: Optional[Tuple[int, int]],
-                        cache: Optional[PersistentCache]):
+    @staticmethod
+    def _shard_exchange(search, shards: Optional[Tuple[int, int]],
+                        cache: Optional[PersistentCache]
+                        ) -> Optional[StaticShardExchange]:
         """Incumbent/progress exchange for one static shard worker.
 
         Active only when both a shard restriction and a shared cache
         directory exist — a shard run without a cache is a plain
         restricted search with nobody to talk to."""
-        if shards is None or cache is None or context_hash is None:
+        if shards is None or cache is None:
             return None
-        from .opt.shard import StaticShardExchange
-        return StaticShardExchange(cache.directory, context_hash, shards)
+        # A robust search reads the cache through its nominal search.
+        evaluator = getattr(search, "_nominal_search", search).evaluator
+        if evaluator.context_hash is None:
+            return None
+        return StaticShardExchange(
+            cache.directory, evaluator.context_hash, shards)

@@ -229,14 +229,14 @@ class EngineMetrics:
         return min(1.0, self.busy_s / (self.elapsed_s * self.jobs))
 
     def merge(self, other: "EngineMetrics") -> "EngineMetrics":
-        """Counter-summing combine for the shard/scenario merge paths.
+        """Counter-summing combine for the robust search's scenario merge.
 
         Every additive counter — evaluations, hits, ``pruned``,
         ``bound_hits``, ``batched``, ``batch_fallbacks`` — is *summed*,
         never last-writer-wins, so an aggregate over several engines
-        (one per shard worker, one per timing scenario) reports the
-        work all of them did.  ``jobs`` takes the widest pool; derived
-        rates recompute from the summed raw counters.  Only merge
+        (one per timing scenario) reports the work all of them did.
+        ``jobs`` takes the widest pool; derived rates recompute from
+        the summed raw counters.  Only merge
         metrics of engines with *distinct* evaluators: two snapshots of
         one evaluator would double-count its cumulative counters."""
         return EngineMetrics(
@@ -254,16 +254,6 @@ class EngineMetrics:
             batched=self.batched + other.batched,
             batch_fallbacks=self.batch_fallbacks + other.batch_fallbacks,
         )
-
-    def __add__(self, other: "EngineMetrics") -> "EngineMetrics":
-        if not isinstance(other, EngineMetrics):
-            return NotImplemented
-        return self.merge(other)
-
-    def __radd__(self, other) -> "EngineMetrics":
-        if other == 0:          # lets sum(list_of_metrics) start from 0
-            return self
-        return NotImplemented
 
     def as_dict(self) -> Dict[str, float]:
         return {

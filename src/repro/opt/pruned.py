@@ -191,11 +191,12 @@ class PrunedOptimizer:
         #: incumbent may seed any shard (see ``incumbent``), so the
         #: minimum rank over the shard winners is the unsharded winner.
         self.shard_of = validate_shard(shard_of)
-        #: Optional seed ``(makespan, flat key)`` incumbent rank — a
-        #: *true feasible* rank published by another shard.  Seeding
-        #: can only prune candidates that cannot beat that rank, so the
-        #: shard's own winner may come back None; the seed's publisher
-        #: already holds the corresponding full result.
+        #: Optional seed ``(makespan, flat key)`` incumbent rank, as
+        #: published by a shard.  A shard trusts it: seeding can only
+        #: prune candidates that cannot beat that rank, so the shard's
+        #: own winner may come back None; the seed's publisher already
+        #: holds the corresponding full result.  An unsharded walk
+        #: (``shard-reduce``) validates it first, see :meth:`_seed`.
         self.incumbent = (float(incumbent[0]), tuple(incumbent[1])) \
             if incumbent is not None else None
         self.evaluator = MakespanEvaluator(
@@ -231,13 +232,16 @@ class PrunedOptimizer:
         batch_scored0 = self.batch.scored if self.batch else 0
         batch_fell0 = self.batch.fallbacks if self.batch else 0
         candidates, groups_maps = self._enumerate()
+        seed, seed_result = self._seed(candidates, groups_maps)
         with EvaluationEngine(self.evaluator, jobs=self.jobs,
                               stage="pruned") as engine:
             engine.note_pruned(self._pruned)   # enumeration-time drops
-            if engine.parallel:
-                best = self._search_parallel(engine, candidates, groups_maps)
-            else:
-                best = self._search_serial(engine, candidates, groups_maps)
+            walk = (self._search_parallel if engine.parallel
+                    else self._search_serial)
+            best = walk(engine, candidates, groups_maps, seed)
+            if best is None:
+                # Nothing ranks below a validated seed: it is the winner.
+                best = seed_result
             best = engine.finalize(best)
             self.metrics = engine.metrics()
         if self.batch is not None:
@@ -292,6 +296,31 @@ class PrunedOptimizer:
             candidates = candidates[index::count]
         return candidates, groups_maps
 
+    def _seed(self, candidates: List[_Candidate],
+              groups_maps: List[Dict[str, int]]
+              ) -> Tuple[Optional[tuple], Optional[MakespanResult]]:
+        """The walk's starting incumbent rank, and the result to return
+        when no candidate beats it.
+
+        A shard starts from :attr:`incumbent` as given.  An unsharded
+        walk adopts it only if it is the rank of one of its *own*
+        candidates whose cached result is feasible with exactly that
+        makespan; otherwise it starts empty.  Either way the unsharded
+        winner is the exact minimum rank of the list, whatever the
+        shard log held — a valid seed only prunes what cannot beat it."""
+        if self.incumbent is None or self.shard_of is not None:
+            return self.incumbent, None
+        makespan, flat = self.incumbent
+        for _bound, candidate, sizes, ai in candidates:
+            if candidate != flat:
+                continue
+            hit = self.evaluator.peek(self._solution(sizes, groups_maps[ai]))
+            if hit is not None and hit.feasible and \
+                    hit.makespan_ns == makespan:
+                return self.incumbent, hit
+            break
+        return None, None
+
     def _solution(self, sizes: Tuple[int, ...],
                   groups: Dict[str, int]) -> Solution:
         return Solution(
@@ -309,14 +338,15 @@ class PrunedOptimizer:
 
     def _search_serial(self, engine: EvaluationEngine,
                        candidates: List[_Candidate],
-                       groups_maps: List[Dict[str, int]]
+                       groups_maps: List[Dict[str, int]],
+                       seed: Optional[tuple]
                        ) -> Optional[MakespanResult]:
         if self.batch is not None:
             return self._search_serial_batched(
-                engine, candidates, groups_maps)
+                engine, candidates, groups_maps, seed)
         evaluator = self.evaluator
         best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = self.incumbent
+        best_rank: Optional[tuple] = seed
         for pos, (bound, flat, sizes, ai) in enumerate(candidates):
             if pos % _DEADLINE_STRIDE == 0:
                 evaluator.check_deadline()
@@ -346,7 +376,8 @@ class PrunedOptimizer:
 
     def _search_serial_batched(self, engine: EvaluationEngine,
                                candidates: List[_Candidate],
-                               groups_maps: List[Dict[str, int]]
+                               groups_maps: List[Dict[str, int]],
+                               seed: Optional[tuple]
                                ) -> Optional[MakespanResult]:
         """The serial walk with batch-exact scoring per window.
 
@@ -364,7 +395,7 @@ class PrunedOptimizer:
         evaluator = self.evaluator
         batch = self.batch
         best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = self.incumbent
+        best_rank: Optional[tuple] = seed
         pos = 0
         total = len(candidates)
         limit = _FIRST_WINDOW
@@ -412,7 +443,8 @@ class PrunedOptimizer:
 
     def _search_parallel(self, engine: EvaluationEngine,
                          candidates: List[_Candidate],
-                         groups_maps: List[Dict[str, int]]
+                         groups_maps: List[Dict[str, int]],
+                         seed: Optional[tuple]
                          ) -> Optional[MakespanResult]:
         """Sliding-window dispatch: screen candidates in sorted order,
         keep a bounded number of chunks in flight, harvest strictly in
@@ -425,7 +457,7 @@ class PrunedOptimizer:
         window = engine.jobs * 2
         pending: deque = deque()
         best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = self.incumbent
+        best_rank: Optional[tuple] = seed
         pos = 0
         total = len(candidates)
         exhausted = False

@@ -12,8 +12,9 @@ of the recurrences:
 where ``M`` are DMA (memory-phase) completions in round-robin order
 (slot-major, then core), ``E(i, 0)`` is the initialisation segment, and
 ``dep_slot`` points at the slot whose transfers segment ``s`` needs.
-:mod:`repro.schedule.dag` builds the explicit DAG for inspection and as a
-cross-check; this module is the fast evaluator used inside the optimizer.
+The tests build the explicit DAG as a longest-path oracle
+(``tests/schedule/dag_oracle.py``); this module is the fast evaluator
+used inside the optimizer.
 """
 
 from __future__ import annotations

@@ -1,7 +1,13 @@
 """CLI smoke tests (fast presets only)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -303,6 +309,26 @@ class TestShardCli:
                          "--shard", shard,
                          "--cache-dir", str(tmp_path)]) == 0
             capsys.readouterr()
+
+
+class TestRuntimeDependencies:
+    def test_compile_runs_without_networkx(self):
+        """``networkx`` is a test-only dependency: a compile must not
+        import it.  ``sys.modules[name] = None`` makes any import of it
+        raise, so this fails as soon as a runtime module needs it."""
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from repro.cli import main\n"
+            "raise SystemExit(main(['compile', 'cnn', "
+            "'--preset', 'MINI']))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("REPRO_CACHE_DIR", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "makespan" in done.stdout
 
 
 class TestAnalyze:

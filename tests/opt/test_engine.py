@@ -21,7 +21,7 @@ from repro.loopir import LoopTree
 from repro.loopir.component import component_at
 from repro.opt.cache import PersistentCache
 from repro.opt.component import ComponentOptimizer
-from repro.opt.engine import EvaluationEngine, effective_jobs
+from repro.opt.engine import EngineMetrics, EvaluationEngine, effective_jobs
 from repro.opt.exhaustive import ExhaustiveOptimizer
 from repro.opt.solution import Solution
 from repro.schedule.makespan import MakespanEvaluator, MakespanResult
@@ -74,6 +74,23 @@ class TestEffectiveJobs:
     def test_parallel_allowed_with_fork(self):
         with eight_cpus():
             assert effective_jobs(2) == 2
+
+
+class TestEngineMetricsMerge:
+    def test_merge_sums_counters_and_maxes_jobs(self):
+        a = EngineMetrics(jobs=2, evaluations=3, memo_hits=1,
+                          cache_hits=2, pruned=4, bound_hits=1,
+                          batched=5, batch_fallbacks=1, elapsed_s=0.5)
+        b = EngineMetrics(jobs=4, evaluations=7, memo_hits=2,
+                          cache_hits=1, pruned=6, bound_hits=2,
+                          batched=3, batch_fallbacks=2, elapsed_s=0.25)
+        merged = a.merge(b)
+        assert merged.jobs == 4
+        assert merged.evaluations == 10
+        assert merged.memo_hits == 3 and merged.cache_hits == 3
+        assert merged.pruned == 10 and merged.bound_hits == 3
+        assert merged.batched == 8 and merged.batch_fallbacks == 3
+        assert merged.elapsed_s == pytest.approx(0.75)
 
 
 class TestBestOf:

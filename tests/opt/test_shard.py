@@ -1,45 +1,38 @@
-"""Sharded distributed evaluation: partition, claims, reduce parity.
+"""Static sharding: slice parity, winner exchange, coordination log.
 
-The contract under test: any number of shard workers, in any
-interleaving (concurrent processes included), leave the shared cache in
-a state whose reduce is the *bit-identical* winner of the serial
-`PrunedOptimizer` — same makespan, same solution key — cold or warm,
-vectorized or not.  Claim records must hand every chunk to exactly one
-worker (stale claims excepted), and crash recovery must re-score a
-stale chunk instead of losing it.
+The contract under test: the round-robin ``shard_of=(i, n)`` slices of
+the sorted candidate list cover the whole space, so the best rank over
+the shard winners is the *bit-identical* winner of the serial
+`PrunedOptimizer`; a seeded incumbent never changes that winner; the
+unsharded reduce over the shards' cache, seeded from their published
+winners, returns that winner with no fresh evaluation and ignores any
+seed it cannot validate; and the coordination log reads cleanly
+whatever an earlier version wrote into a shared cache directory.
 """
 
-import multiprocessing
-import time
+import json
 
 import pytest
 
+from repro.cli import main
 from repro.kernels import make_kernel
 from repro.loopir import LoopTree
 from repro.loopir.component import component_at
 from repro.opt.cache import PersistentCache
-from repro.opt.engine import EngineMetrics
 from repro.opt.pareto import ParetoOptimizer, pareto_front
 from repro.opt.pruned import PrunedOptimizer, validate_shard
 from repro.opt.robust import RobustOptimizer
 from repro.opt.shard import (
-    ShardCoordinator,
-    ShardIncompleteError,
+    SHARD_LOG_FILENAME,
     ShardLog,
-    ShardReducer,
-    ShardWorker,
     StaticShardExchange,
     merge_ranks,
+    reduce_seed,
     space_statuses,
     static_space_id,
 )
 from repro.sim.profiler import fit_component_model
 from repro.timing.platform import Platform
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-needs_fork = pytest.mark.skipif(
-    not HAS_FORK, reason="worker processes require the fork start method")
 
 
 def _component(kernel_name, preset, vars_):
@@ -53,17 +46,6 @@ def rnn_small():
     return _component("rnn", "SMALL", ["s1", "p"])
 
 
-@pytest.fixture(scope="module")
-def lstm_small():
-    return _component("lstm", "SMALL", ["s1_0", "p"])
-
-
-def _coordinator(data, tmp_path, **kwargs):
-    comp, model = data
-    return ShardCoordinator(
-        comp, Platform(), model, PersistentCache(tmp_path), **kwargs)
-
-
 def _winner(result):
     if result.best is None or not result.best.feasible:
         return None
@@ -74,251 +56,6 @@ def _serial_winner(data, cache=None, **kwargs):
     comp, model = data
     return PrunedOptimizer(
         comp, Platform(), model, cache=cache, **kwargs).optimize()
-
-
-class TestPartition:
-    def test_identical_across_coordinators(self, rnn_small, tmp_path):
-        a = _coordinator(rnn_small, tmp_path, chunk_size=16)
-        b = _coordinator(rnn_small, tmp_path, chunk_size=16)
-        assert a.space_id == b.space_id
-        assert [c.chunk_id for c in a.chunks] == \
-            [c.chunk_id for c in b.chunks]
-
-    def test_chunks_cover_every_candidate_once(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=7)
-        positions = []
-        for chunk in coord.chunks:
-            positions.extend(range(chunk.start, chunk.start + chunk.count))
-        assert positions == list(range(len(coord.candidates)))
-        assert len({c.chunk_id for c in coord.chunks}) == len(coord.chunks)
-
-    def test_chunk_size_changes_space_id(self, rnn_small, tmp_path):
-        a = _coordinator(rnn_small, tmp_path, chunk_size=16)
-        b = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        assert a.space_id != b.space_id
-
-    def test_component_changes_space_id(self, rnn_small, lstm_small,
-                                        tmp_path):
-        a = _coordinator(rnn_small, tmp_path)
-        b = _coordinator(lstm_small, tmp_path)
-        assert a.space_id != b.space_id
-
-    def test_bad_chunk_size_rejected(self, rnn_small, tmp_path):
-        with pytest.raises(ValueError):
-            _coordinator(rnn_small, tmp_path, chunk_size=0)
-
-
-class TestClaims:
-    def test_each_chunk_claimed_exactly_once(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        seen = []
-        while True:
-            chunk, _contention = coord.claim("w1")
-            if chunk is None:
-                break
-            seen.append(chunk.chunk_id)
-        assert sorted(seen) == sorted(c.chunk_id for c in coord.chunks)
-        # Nothing was completed, so a second pass finds all in flight.
-        chunk, contention = coord.claim("w2")
-        assert chunk is None
-        assert contention == len(coord.chunks)
-
-    def test_two_claimers_alternate_disjointly(self, rnn_small, tmp_path):
-        a = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        b = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        mine, theirs = [], []
-        while True:
-            one, _ = a.claim("w1")
-            two, _ = b.claim("w2")
-            if one is None and two is None:
-                break
-            if one is not None:
-                mine.append(one.chunk_id)
-            if two is not None:
-                theirs.append(two.chunk_id)
-        assert not set(mine) & set(theirs)
-        assert sorted(mine + theirs) == sorted(
-            c.chunk_id for c in a.chunks)
-
-    def test_stale_claim_is_reclaimed(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8,
-                             stale_s=0.0)
-        first, _ = coord.claim("crashed")
-        time.sleep(0.01)
-        second, _ = coord.claim("rescuer")
-        assert second is not None
-        assert second.chunk_id == first.chunk_id
-
-    def test_done_chunk_never_reissued(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8,
-                             stale_s=0.0)
-        chunk, _ = coord.claim("w1")
-        coord.complete(chunk, "w1", scored=chunk.count, pruned=0,
-                       elapsed_s=0.0)
-        others = set()
-        while True:
-            nxt, _ = coord.claim("w1")
-            if nxt is None:
-                break
-            others.add(nxt.chunk_id)
-            coord.complete(nxt, "w1", scored=nxt.count, pruned=0,
-                           elapsed_s=0.0)
-        assert chunk.chunk_id not in others
-
-    def test_status_counts_progress(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        coord.announce("w1")
-        chunk, _ = coord.claim("w1")
-        status = coord.status()
-        assert status.chunks == len(coord.chunks)
-        assert status.candidates == len(coord.candidates)
-        assert status.claimed == 1 and status.done == 0
-        assert not status.complete
-        coord.complete(chunk, "w1", scored=chunk.count, pruned=0,
-                       elapsed_s=0.0)
-        status = coord.status()
-        assert status.done == 1 and status.claimed == 0
-        assert "w1" in status.workers
-
-
-def _run_worker(data, tmp_path, worker_id, barrier=None, **kwargs):
-    coord = _coordinator(data, tmp_path, **kwargs)
-    if barrier is not None:
-        barrier.wait()
-    return ShardWorker(coord, worker_id=worker_id).run()
-
-
-class TestWorkerReduceParity:
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_two_workers_match_serial_winner(self, rnn_small, tmp_path,
-                                             vectorize):
-        serial = _serial_winner(rnn_small)
-        for worker_id in ("w1", "w2"):
-            _run_worker(rnn_small, tmp_path, worker_id,
-                        chunk_size=8, vectorize=vectorize)
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8,
-                             vectorize=vectorize)
-        merged = ShardReducer(coord).reduce()
-        assert merged.feasible
-        # Tail-pruned candidates never get an entry (serial does the
-        # same); the taxonomy still has to account for every candidate.
-        assert merged.results + merged.bounds + merged.missing == \
-            len(coord.candidates)
-        assert (merged.best.makespan_ns, merged.best.solution.key()) == \
-            _winner(serial)
-        assert merged.rank[0] == serial.best.makespan_ns
-
-    def test_reduce_warm_is_identical_and_planless(self, rnn_small,
-                                                   tmp_path):
-        serial = _serial_winner(rnn_small)
-        _run_worker(rnn_small, tmp_path, "w1", chunk_size=8)
-        first = ShardReducer(
-            _coordinator(rnn_small, tmp_path, chunk_size=8)).reduce()
-        # Warm pass: a brand-new coordinator over the same directory
-        # re-reduces without any worker running again.
-        second = ShardReducer(
-            _coordinator(rnn_small, tmp_path, chunk_size=8)).reduce()
-        for merged in (first, second):
-            assert (merged.best.makespan_ns,
-                    merged.best.solution.key()) == _winner(serial)
-            assert merged.best.from_cache and merged.best.plan is None
-
-    def test_single_worker_drains_everything(self, lstm_small, tmp_path):
-        serial = _serial_winner(lstm_small)
-        out = _run_worker(lstm_small, tmp_path, "solo", chunk_size=16)
-        coord = _coordinator(lstm_small, tmp_path, chunk_size=16)
-        assert out.chunks_done == len(coord.chunks)
-        assert out.candidates == len(coord.candidates)
-        assert out.scored + out.pruned == out.candidates
-        merged = ShardReducer(coord).reduce()
-        assert (merged.best.makespan_ns, merged.best.solution.key()) == \
-            _winner(serial)
-
-    def test_worker_metrics_flow_through_engine(self, rnn_small,
-                                                tmp_path):
-        out = _run_worker(rnn_small, tmp_path, "w1", chunk_size=8)
-        assert out.metrics is not None
-        assert out.metrics.pruned == out.pruned
-        assert out.metrics.bound_hits == out.bound_hits
-
-    def test_incomplete_space_refuses_reduce(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        coord.announce("w1")
-        chunk, _ = coord.claim("w1")
-        coord.complete(chunk, "w1", scored=chunk.count, pruned=0,
-                       elapsed_s=0.0)
-        with pytest.raises(ShardIncompleteError):
-            ShardReducer(coord).reduce()
-        partial = ShardReducer(coord).reduce(require_complete=False)
-        assert partial.missing > 0
-
-    def test_crashed_worker_chunk_is_rescored(self, rnn_small, tmp_path):
-        serial = _serial_winner(rnn_small)
-        crashed = _coordinator(rnn_small, tmp_path, chunk_size=8,
-                               stale_s=0.0)
-        crashed.announce("crashed")
-        crashed.claim("crashed")       # claim, then "die" before scoring
-        time.sleep(0.01)
-        _run_worker(rnn_small, tmp_path, "rescuer", chunk_size=8,
-                    stale_s=0.0)
-        merged = ShardReducer(
-            _coordinator(rnn_small, tmp_path, chunk_size=8)).reduce()
-        assert (merged.best.makespan_ns, merged.best.solution.key()) == \
-            _winner(serial)
-
-
-def _race_worker(kernel_name, preset, vars_, cache_dir, worker_id,
-                 started, release):
-    comp, model = _component(kernel_name, preset, vars_)
-    coord = ShardCoordinator(
-        comp, Platform(), model, PersistentCache(cache_dir), chunk_size=4)
-    started.release()
-    release.acquire()                  # both processes start together
-    ShardWorker(coord, worker_id=worker_id).run()
-
-
-@needs_fork
-class TestConcurrentClaimRace:
-    def test_two_processes_share_without_overlap(self, rnn_small,
-                                                 tmp_path):
-        """Two live claimer processes racing on the same log: every
-        chunk is scored by exactly one of them, none is scored twice,
-        none is dropped, and the reduce still matches the serial
-        winner."""
-        started = multiprocessing.Semaphore(0)
-        release = multiprocessing.Semaphore(0)
-        procs = [
-            multiprocessing.Process(
-                target=_race_worker,
-                args=("rnn", "SMALL", ["s1", "p"], str(tmp_path),
-                      worker_id, started, release))
-            for worker_id in ("p", "q")
-        ]
-        for proc in procs:
-            proc.start()
-        for _ in procs:                # wait for both coordinators
-            started.acquire()
-        for _ in procs:                # then release them at once
-            release.release()
-        for proc in procs:
-            proc.join(timeout=120)
-        assert all(proc.exitcode == 0 for proc in procs)
-
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=4)
-        records = coord.log.records(coord.space_id)
-        done = [r for r in records if r.get("t") == "done"]
-        # Exactly one done record per chunk: nothing scored twice,
-        # nothing dropped.
-        assert sorted(r["c"] for r in done) == \
-            sorted(c.chunk_id for c in coord.chunks)
-        claimants = {r["c"]: r["w"] for r in records
-                     if r.get("t") == "claim"}
-        assert all(done_r["w"] == claimants[done_r["c"]]
-                   for done_r in done)
-        merged = ShardReducer(coord).reduce()
-        serial = _serial_winner(rnn_small)
-        assert (merged.best.makespan_ns, merged.best.solution.key()) == \
-            _winner(serial)
 
 
 class TestStaticSharding:
@@ -405,29 +142,102 @@ class TestStaticSharding:
         assert static_space_id("ctx", 2) in statuses
 
 
-class TestEngineMetricsMerge:
-    def test_merge_sums_counters_and_maxes_jobs(self):
-        a = EngineMetrics(jobs=2, evaluations=3, memo_hits=1,
-                          cache_hits=2, pruned=4, bound_hits=1,
-                          batched=5, batch_fallbacks=1, elapsed_s=0.5)
-        b = EngineMetrics(jobs=4, evaluations=7, memo_hits=2,
-                          cache_hits=1, pruned=6, bound_hits=2,
-                          batched=3, batch_fallbacks=2, elapsed_s=0.25)
-        merged = a.merge(b)
-        assert merged.jobs == 4
-        assert merged.evaluations == 10
-        assert merged.memo_hits == 3 and merged.cache_hits == 3
-        assert merged.pruned == 10 and merged.bound_hits == 3
-        assert merged.batched == 8 and merged.batch_fallbacks == 3
-        assert merged.elapsed_s == pytest.approx(0.75)
+def _flat(result):
+    return tuple(x for _v, k, r in result.best.solution.key()
+                 for x in (k, r))
 
-    def test_sum_builtin_merges_a_list(self):
-        parts = [EngineMetrics(jobs=1, evaluations=2),
-                 EngineMetrics(jobs=2, evaluations=3),
-                 EngineMetrics(jobs=1, evaluations=5)]
-        merged = sum(parts)
-        assert merged.evaluations == 10 and merged.jobs == 2
 
-    def test_add_rejects_foreign_types(self):
-        with pytest.raises(TypeError):
-            EngineMetrics(jobs=1) + 3
+def _run_shards(data, directory, count=3):
+    """``compile --shard I/count`` workers, one after the other."""
+    comp, model = data
+    for index in range(count):
+        shard = PrunedOptimizer(comp, Platform(), model,
+                                cache=PersistentCache(directory),
+                                shard_of=(index, count))
+        exchange = StaticShardExchange(
+            directory, shard.evaluator.context_hash, (index, count))
+        shard.incumbent = exchange.seed()
+        exchange.publish(comp, shard.optimize())
+
+
+def _reduce(data, directory, incumbent):
+    comp, model = data
+    return PrunedOptimizer(comp, Platform(), model,
+                           cache=PersistentCache(directory),
+                           incumbent=incumbent).optimize()
+
+
+class TestReduceSeed:
+    """The unsharded walk over a shard cache, as ``shard-reduce`` runs it."""
+
+    def test_seeded_reduce_is_serial_winner_without_fresh_plans(
+            self, rnn_small, tmp_path):
+        serial = _serial_winner(rnn_small)
+        _run_shards(rnn_small, tmp_path)
+        comp, model = rnn_small
+        context = PrunedOptimizer(
+            comp, Platform(), model,
+            cache=PersistentCache(tmp_path)).evaluator.context_hash
+        seed = reduce_seed(tmp_path, context)
+        assert seed == (serial.best.makespan_ns, _flat(serial))
+        reduced = _reduce(rnn_small, tmp_path, seed)
+        assert _winner(reduced) == _winner(serial)
+        assert reduced.evaluations == 0
+
+    def test_unvalidated_seeds_are_ignored(self, rnn_small, tmp_path):
+        serial = _serial_winner(rnn_small)
+        makespan, flat = serial.best.makespan_ns, _flat(serial)
+        _run_shards(rnn_small, tmp_path)
+        bogus = (
+            (makespan - 1.0, flat),                # makespan off the cache
+            (1.0, tuple(10**6 for _ in flat)),     # not a candidate
+        )
+        for seed in bogus:
+            reduced = _reduce(rnn_small, tmp_path, seed)
+            assert _winner(reduced) == _winner(serial), seed
+        # The true winner's rank, but nothing cached to check it against.
+        cold = _reduce(rnn_small, tmp_path / "cold", (makespan, flat))
+        assert _winner(cold) == _winner(serial)
+        assert cold.evaluations > 0
+
+    def test_reduce_seed_merges_splits_of_one_context(self, tmp_path):
+        assert reduce_seed(tmp_path, "ctx") is None
+        assert list(tmp_path.iterdir()) == []      # no log, no lock file
+        log = ShardLog(tmp_path)
+        log.publish_winner(static_space_id("ctx", 2), "w", 9.0, (1, 2))
+        log.publish_winner(static_space_id("ctx", 3), "w", 8.0, (4, 1))
+        log.publish_winner(static_space_id("other", 2), "w", 1.0, (1, 1))
+        assert reduce_seed(tmp_path, "ctx") == (8.0, (4, 1))
+
+
+class TestLegacyLog:
+    def test_old_protocol_records_and_torn_line_read_cleanly(
+            self, tmp_path, capsys):
+        """Shared cache directories written by earlier versions hold
+        dynamic-protocol records (a ``space`` record with chunk and
+        candidate counts, ``claim`` records) and possibly a torn last
+        line; status reads must skip what they do not know."""
+        records = [
+            {"t": "space", "s": "legacy", "w": "w1", "chunks": 2,
+             "candidates": 128, "component": "s1.p", "ts": 1.0},
+            {"t": "claim", "s": "legacy", "c": "chunk0", "i": 0,
+             "w": "w1", "ts": 2.0},
+            {"t": "claim", "s": "legacy", "c": "chunk1", "i": 1,
+             "w": "w2", "ts": 2.5},
+            {"t": "done", "s": "legacy", "c": "chunk0", "i": 0,
+             "w": "w1", "scored": 7, "pruned": 57, "elapsed_s": 0.1,
+             "ts": 3.0},
+            {"t": "winner", "s": "legacy", "w": "w1", "m": 29216.0,
+             "key": [4, 1, 8, 2], "ts": 3.5},
+        ]
+        lines = [json.dumps(record) for record in records]
+        torn = '{"t": "done", "s": "legacy", "c": "chu'
+        (tmp_path / SHARD_LOG_FILENAME).write_text(
+            "\n".join(lines) + "\n" + torn)
+
+        status = space_statuses(ShardLog(tmp_path))["legacy"]
+        assert (status.chunks, status.done) == (2, 1)
+        assert status.winner == (29216.0, (4, 1, 8, 2))
+
+        assert main(["shard", "status", "--cache-dir", str(tmp_path)]) == 0
+        assert "1/2 chunks done, best 29,216 ns" in capsys.readouterr().out

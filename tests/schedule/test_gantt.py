@@ -1,10 +1,10 @@
 """Gantt renderer tests: spans must replay the pipeline exactly."""
 
 import pytest
+from dag_oracle import dag_makespan
 from hypothesis import given, settings, strategies as st
 
 from repro.prem.segments import CoreSchedule
-from repro.schedule.dag import dag_makespan
 from repro.schedule.gantt import render_gantt, schedule_spans
 from repro.schedule.pipeline import evaluate_pipeline
 
