@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..loopir.component import TilableComponent
-from ..prem.ranges import _stmt_guards, partial_bounds
+from ..prem.ranges import fold_subscript
 from ..prem.segments import RO, RW, WO, ArrayGeometry, classify_modes
 from ..schedule.makespan import DEFAULT_SEGMENT_CAP
 from ..timing.execmodel import ExecModel
@@ -425,14 +425,14 @@ class BoundCalculator:
         for name, array in self.component.arrays().items():
             pairs = self.component.accesses(name)
             if not pairs or any(
-                    _stmt_guards(self.component, stmt) for stmt, _ in pairs):
+                    self.component.guards(stmt) for stmt, _ in pairs):
                 continue
+            rows = self.component.access_table(name)
             dims = []
             for dim in range(array.ndim):
-                exprs = [access.indices[dim] for _, access in pairs]
-                support = tuple(
-                    v for v in band
-                    if any(expr.coeff(v) for expr in exprs))
+                exprs = [row[3][dim] for row in rows]
+                used = {var for _, sub in exprs for var, _ in sub}
+                support = tuple(v for v in band if v in used)
                 dims.append((dim, support, exprs, array.shape[dim]))
             terms.append((name, array.element_size, dims))
         self._inner_box = dict(inner)
@@ -468,25 +468,20 @@ class BoundCalculator:
                 box[var] = (node.begin,
                             node.begin + (width - 1) * node.S)
             lo = hi = None
-            widened = False
-            for expr in exprs:
-                expr_lo, expr_hi = partial_bounds(expr, box)
+            outer = None
+            extent = None
+            for constant, terms in exprs:
+                expr_lo, expr_hi, free = fold_subscript(constant, terms, box)
                 if lo is None:
-                    lo, hi = expr_lo, expr_hi
-                    continue
-                if lo.coeffs != expr_lo.coeffs or hi.coeffs != expr_hi.coeffs:
-                    widened = True    # canonical_range widens to the array
+                    lo, hi, outer = expr_lo, expr_hi, free
+                elif free != outer:
+                    extent = full_extent  # canonical_range widens
                     break
-                if expr_lo.constant < lo.constant:
-                    lo = expr_lo
-                if expr_hi.constant > hi.constant:
-                    hi = expr_hi
-            if widened:
-                extent = full_extent
-            else:
-                delta = hi - lo
-                extent = int(delta.constant) + 1 \
-                    if delta.is_constant() else full_extent
+                else:
+                    lo = min(lo, expr_lo)
+                    hi = max(hi, expr_hi)
+            if extent is None:
+                extent = hi - lo + 1
             self._extent_memo[key] = extent
         return extent
 

@@ -31,11 +31,12 @@ entries; re-encountering one on a warm run counts as a *bound hit*.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import time
 from collections import deque
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +83,9 @@ _BATCH_WINDOW = 256
 #: tier prune even spaces smaller than one full window.
 _FIRST_WINDOW = 16
 
+#: Rows a :class:`CandidateSequence` iteration converts at a time.
+_ITER_BLOCK = 512
+
 #: Candidate record: (quick bound, flat key, tile sizes, assignment idx).
 _Candidate = Tuple[float, Tuple[int, ...], Tuple[int, ...], int]
 
@@ -103,50 +107,85 @@ def validate_shard(shard_of: Optional[Tuple[int, int]]
     return index, count
 
 
+class CandidateSequence(collections.abc.Sequence):
+    """Finite-bound candidates, best-bound-first, built on read.
+
+    Holds the quick bounds, per-level tile-size indices and assignment
+    indices of the candidates as arrays, already in the order of the
+    scalar list's ``sort()``.  Reading position *i* builds the record
+    ``(bound, flat, sizes, ai)`` from the ``select_tile_sizes`` lists, so
+    a walk that stops after a few hundred candidates never materializes
+    the other hundred thousand.  Supports ``len``, int indexing, slicing
+    (a shard's ``[i::n]`` is another sequence over array views) and
+    iteration."""
+
+    def __init__(self, bounds: np.ndarray, indices: np.ndarray,
+                 ais: np.ndarray, lists: Sequence[Sequence[List[int]]],
+                 assignments: Sequence[Tuple[int, ...]]):
+        self._bounds = bounds          # float64 quick bound per candidate
+        self._indices = indices        # (n, depth) tile-size list indices
+        self._ais = ais                # assignment index per candidate
+        self._lists = lists            # per assignment, per-level lists
+        self._assignments = assignments
+
+    def __len__(self) -> int:
+        return len(self._bounds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CandidateSequence(
+                self._bounds[index], self._indices[index],
+                self._ais[index], self._lists, self._assignments)
+        return self._record(float(self._bounds[index]),
+                            self._indices[index].tolist(),
+                            int(self._ais[index]))
+
+    def __iter__(self) -> Iterator[_Candidate]:
+        # Convert a block of rows at a time: Python scalars without
+        # materializing the whole sequence.
+        for start in range(0, len(self), _ITER_BLOCK):
+            stop = start + _ITER_BLOCK
+            for bound, row, ai in zip(self._bounds[start:stop].tolist(),
+                                      self._indices[start:stop].tolist(),
+                                      self._ais[start:stop].tolist()):
+                yield self._record(bound, row, ai)
+
+    def _record(self, bound: float, row: List[int], ai: int) -> _Candidate:
+        sizes = tuple(lst[i] for lst, i in zip(self._lists[ai], row))
+        flat = tuple(
+            x for k, r in zip(sizes, self._assignments[ai]) for x in (k, r))
+        return bound, flat, sizes, ai
+
+
 def enumerate_candidates(component: TilableComponent,
                          assignments: Sequence[Tuple[int, ...]],
                          bounds: BoundCalculator,
                          check: Callable[[], None],
                          vectorize: bool = True
-                         ) -> Tuple[List[_Candidate],
+                         ) -> Tuple[Sequence[_Candidate],
                                     List[Dict[str, int]], int]:
     """Quick-bound every candidate point; sort survivors best-bound-first.
 
     Returns ``(candidates, groups_maps, pruned)`` where *pruned* counts
     the provably infeasible points (quick bound of +inf) that never
-    entered the list.  The vectorized path screens each assignment's
-    whole tile-size grid through :meth:`BoundCalculator.
-    quick_bound_array` — bitwise the same bounds, so the same candidate
-    list and the same pruned count as the scalar loop.  Shared by the
-    nominal and the robust (envelope-bound) searches."""
-    candidates: List[_Candidate] = []
+    entered the sequence.  The scalar path (``vectorize=False``, the
+    reference) builds and sorts a list of records.  The vectorized path
+    screens each assignment's whole tile-size grid through
+    :meth:`BoundCalculator.quick_bound_array` — bitwise the same bounds,
+    so the same pruned count — and orders the survivors with one
+    ``np.lexsort`` on ``(bound, K1, R1, K2, R2, ...)``: flat keys are
+    unique, so that is exactly the list's sort order.  It returns a
+    :class:`CandidateSequence` equal to the list element for element.
+    Shared by the nominal, robust and Pareto searches."""
     groups_maps: List[Dict[str, int]] = []
     pruned = 0
-    seen = 0
-    for ai, assignment in enumerate(assignments):
-        groups, candidate_lists = assignment_candidates(
-            component, assignment)
-        groups_maps.append(groups)
-        if vectorize:
-            check()
-            bound_arr = bounds.quick_bound_array(candidate_lists, assignment)
-            finite = np.flatnonzero(np.isfinite(bound_arr))
-            pruned += len(bound_arr) - len(finite)
-            if not len(finite):
-                continue
-            shape = tuple(len(lst) for lst in candidate_lists)
-            multi = np.unravel_index(finite, shape)
-            for t in range(len(finite)):
-                if t % _DEADLINE_STRIDE == 0:
-                    check()
-                sizes = tuple(
-                    lst[axis[t]]
-                    for lst, axis in zip(candidate_lists, multi))
-                flat = tuple(
-                    x for k, r in zip(sizes, assignment) for x in (k, r))
-                candidates.append(
-                    (float(bound_arr[finite[t]]), flat, sizes, ai))
-        else:
+    if not vectorize:
+        candidates: List[_Candidate] = []
+        seen = 0
+        for ai, assignment in enumerate(assignments):
+            groups, candidate_lists = assignment_candidates(
+                component, assignment)
+            groups_maps.append(groups)
             for sizes in product(*candidate_lists):
                 seen += 1
                 if seen % _DEADLINE_STRIDE == 0:
@@ -158,8 +197,48 @@ def enumerate_candidates(component: TilableComponent,
                 flat = tuple(
                     x for k, r in zip(sizes, assignment) for x in (k, r))
                 candidates.append((bound, flat, sizes, ai))
-    candidates.sort()
-    return candidates, groups_maps, pruned
+        candidates.sort()
+        return candidates, groups_maps, pruned
+
+    depth = len(component.nodes)
+    lists: List[List[List[int]]] = []
+    bound_parts, index_parts, ai_parts, key_parts = [], [], [], []
+    for ai, assignment in enumerate(assignments):
+        check()
+        groups, candidate_lists = assignment_candidates(
+            component, assignment)
+        groups_maps.append(groups)
+        lists.append(candidate_lists)
+        bound_arr = bounds.quick_bound_array(candidate_lists, assignment)
+        finite = np.flatnonzero(np.isfinite(bound_arr))
+        pruned += len(bound_arr) - len(finite)
+        if not len(finite):
+            continue
+        shape = tuple(len(lst) for lst in candidate_lists)
+        index = np.stack(np.unravel_index(finite, shape), axis=1)
+        bound_parts.append(bound_arr[finite])
+        index_parts.append(index)
+        ai_parts.append(np.full(len(finite), ai, dtype=np.int64))
+        flat_cols = []
+        for j, (lst, r) in enumerate(zip(candidate_lists, assignment)):
+            flat_cols.append(np.asarray(lst, dtype=np.int64)[index[:, j]])
+            flat_cols.append(np.full(len(finite), r, dtype=np.int64))
+        key_parts.append(np.stack(flat_cols, axis=1))
+    if not bound_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return (CandidateSequence(
+            np.empty(0), np.empty((0, depth), dtype=np.int64), empty,
+            lists, assignments), groups_maps, pruned)
+    bound_all = np.concatenate(bound_parts)
+    flat_all = np.concatenate(key_parts)
+    # np.lexsort sorts by its *last* key first: (bound, K1, R1, ...).
+    order = np.lexsort(
+        [flat_all[:, c] for c in range(flat_all.shape[1] - 1, -1, -1)]
+        + [bound_all])
+    return (CandidateSequence(
+        bound_all[order], np.concatenate(index_parts)[order],
+        np.concatenate(ai_parts)[order], lists, assignments),
+        groups_maps, pruned)
 
 
 class PrunedOptimizer:
@@ -232,7 +311,7 @@ class PrunedOptimizer:
         batch_scored0 = self.batch.scored if self.batch else 0
         batch_fell0 = self.batch.fallbacks if self.batch else 0
         candidates, groups_maps = self._enumerate()
-        seed, seed_result = self._seed(candidates, groups_maps)
+        seed, seed_result = self._seed(groups_maps)
         with EvaluationEngine(self.evaluator, jobs=self.jobs,
                               stage="pruned") as engine:
             engine.note_pruned(self._pruned)   # enumeration-time drops
@@ -272,7 +351,8 @@ class PrunedOptimizer:
 
     # -- enumeration (tier-1 bounds) ---------------------------------------
 
-    def _enumerate(self) -> Tuple[List[_Candidate], List[Dict[str, int]]]:
+    def _enumerate(self) -> Tuple[Sequence[_Candidate],
+                                  List[Dict[str, int]]]:
         """Bound every candidate point and sort best-bound-first.
 
         Provably infeasible points (quick bound of +inf) never enter the
@@ -296,8 +376,7 @@ class PrunedOptimizer:
             candidates = candidates[index::count]
         return candidates, groups_maps
 
-    def _seed(self, candidates: List[_Candidate],
-              groups_maps: List[Dict[str, int]]
+    def _seed(self, groups_maps: List[Dict[str, int]]
               ) -> Tuple[Optional[tuple], Optional[MakespanResult]]:
         """The walk's starting incumbent rank, and the result to return
         when no candidate beats it.
@@ -307,18 +386,28 @@ class PrunedOptimizer:
         candidates whose cached result is feasible with exactly that
         makespan; otherwise it starts empty.  Either way the unsharded
         winner is the exact minimum rank of the list, whatever the
-        shard log held — a valid seed only prunes what cannot beat it."""
+        shard log held — a valid seed only prunes what cannot beat it.
+
+        Membership is a key lookup, not a scan: the flat key names the
+        assignment and the tile sizes, and a point is in the list iff
+        its sizes are that assignment's options and its quick bound is
+        finite."""
         if self.incumbent is None or self.shard_of is not None:
             return self.incumbent, None
         makespan, flat = self.incumbent
-        for _bound, candidate, sizes, ai in candidates:
-            if candidate != flat:
-                continue
-            hit = self.evaluator.peek(self._solution(sizes, groups_maps[ai]))
-            if hit is not None and hit.feasible and \
-                    hit.makespan_ns == makespan:
-                return self.incumbent, hit
-            break
+        sizes, assignment = flat[0::2], flat[1::2]
+        if len(flat) != 2 * len(self._vars) or \
+                assignment not in self._assignments:
+            return None, None
+        ai = self._assignments.index(assignment)
+        _groups, candidate_lists = assignment_candidates(
+            self.component, assignment)
+        if not all(k in lst for k, lst in zip(sizes, candidate_lists)) or \
+                math.isinf(self.bounds.quick_bound(sizes, assignment)):
+            return None, None
+        hit = self.evaluator.peek(self._solution(sizes, groups_maps[ai]))
+        if hit is not None and hit.feasible and hit.makespan_ns == makespan:
+            return self.incumbent, hit
         return None, None
 
     def _solution(self, sizes: Tuple[int, ...],
@@ -337,7 +426,7 @@ class PrunedOptimizer:
     # -- serial walk -------------------------------------------------------
 
     def _search_serial(self, engine: EvaluationEngine,
-                       candidates: List[_Candidate],
+                       candidates: Sequence[_Candidate],
                        groups_maps: List[Dict[str, int]],
                        seed: Optional[tuple]
                        ) -> Optional[MakespanResult]:
@@ -375,7 +464,7 @@ class PrunedOptimizer:
         return best
 
     def _search_serial_batched(self, engine: EvaluationEngine,
-                               candidates: List[_Candidate],
+                               candidates: Sequence[_Candidate],
                                groups_maps: List[Dict[str, int]],
                                seed: Optional[tuple]
                                ) -> Optional[MakespanResult]:
@@ -442,7 +531,7 @@ class PrunedOptimizer:
     # -- windowed parallel walk --------------------------------------------
 
     def _search_parallel(self, engine: EvaluationEngine,
-                         candidates: List[_Candidate],
+                         candidates: Sequence[_Candidate],
                          groups_maps: List[Dict[str, int]],
                          seed: Optional[tuple]
                          ) -> Optional[MakespanResult]:

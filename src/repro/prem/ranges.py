@@ -4,26 +4,50 @@ For one tile of a tilable component and one array, the canonical data
 element range is the rectangular hull of every element the tile's
 statements may touch: per array dimension the min and max subscript value
 over the tile's iteration box.  For affine subscripts over a box the
-extremes sit at box corners, so the hull is exact interval arithmetic.
+extremes sit at box corners, so one subscript's hull is exact interval
+arithmetic; the union over accesses is its rectangular hull.
 
-Subscripts may also involve iterators of loops *enclosing* the component
-(LSTM's ``inp_F[t][p]`` depends on the outer time loop).  Those stay
-symbolic: a range's per-dimension bounds are affine expressions over the
-outer iterators, while its *shape* (max - min + 1) is always an integer —
-which is why memory-phase lengths and bounding boxes are independent of
-the outer iteration, exactly as the paper's timing model assumes.
+The hull is computed on integers.  Each array's accesses are compiled
+once per component (:meth:`~repro.loopir.component.TilableComponent.
+access_table`) into per-access guards and per-dimension subscripts
+``(constant, ((var, coeff), ...))``; folding a tile box over that table is
+plain integer arithmetic (:func:`hull_bounds`).  Subscript terms over
+iterators of loops *enclosing* the component (LSTM's ``inp_F[t][p]``
+depends on the outer time loop) stay as a hashable coefficient tuple, so
+a range bound is ``constant + sum(coeff * outer)``.  Its *shape*
+(max - min + 1) is an integer, which is why memory-phase lengths and
+bounding boxes are independent of the outer iteration, exactly as the
+paper's timing model assumes.  :class:`CanonicalRange` builds
+:class:`~repro.poly.affine.AffineExpr` bounds only for the consumers that
+need them symbolically (swap calls, code generation, the analyzer).
+
+The hull is conservative, never too small: single-iterator guards narrow
+the box (a statement no guard admits in the tile drops out), other guards
+are ignored, and a dimension whose accesses disagree on their outer
+coefficients widens to the whole array extent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import product
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
-from ..loopir.component import TilableComponent
-from ..poly.access import Access, Array
+from ..loopir.component import AccessRow, TilableComponent
+from ..poly.access import Array
 from ..poly.affine import AffineExpr
-from ..poly.constraint import EQ
 from ..timing.memory import transfer_bytes, transfer_time_ns
+
+#: Coefficients of the outer iterators in a bound, ``((var, coeff), ...)``
+#: with the variables sorted: the hashable form of an AffineExpr's terms.
+Terms = Tuple[Tuple[str, int], ...]
+
+#: One affine range bound on integers: ``(constant, terms)``.
+Bound = Tuple[int, Terms]
+
+#: A folded hull: per dimension the lower and upper constants and the
+#: outer terms both bounds share — ``(lo, hi, terms)``.
+Hull = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Terms, ...]]
 
 
 def partial_bounds(expr: AffineExpr, box: Mapping[str, Tuple[int, int]]
@@ -46,25 +70,94 @@ def partial_bounds(expr: AffineExpr, box: Mapping[str, Tuple[int, int]]
     return lo, hi
 
 
-@dataclass(frozen=True)
-class CanonicalRange:
-    """The rectangular hull of one array's accesses within one tile."""
+def fold_subscript(constant: int, terms: Terms,
+                   box: Mapping[str, Tuple[int, int]]
+                   ) -> Tuple[int, int, Terms]:
+    """[min, max] of one compiled subscript over *box*: the integer twin
+    of :func:`partial_bounds`.  Returns ``(lo, hi, free)`` where *free*
+    holds the terms over variables outside the box, shared by both
+    bounds."""
+    lo = hi = constant
+    free: Terms = ()
+    for var, coeff in terms:
+        span = box.get(var)
+        if span is None:
+            free += ((var, coeff),)
+        elif coeff >= 0:
+            lo += coeff * span[0]
+            hi += coeff * span[1]
+        else:
+            lo += coeff * span[1]
+            hi += coeff * span[0]
+    return lo, hi, free
 
-    array: Array
-    lo: Tuple[AffineExpr, ...]
-    hi: Tuple[AffineExpr, ...]
+
+def _expr(bound: Bound) -> AffineExpr:
+    constant, terms = bound
+    return AffineExpr(dict(terms), constant)
+
+
+def _bound(expr: AffineExpr) -> Bound:
+    return expr.constant, tuple(expr.coeffs.items())
+
+
+class CanonicalRange:
+    """The rectangular hull of one array's accesses within one tile.
+
+    Stored on integers: ``lo_bounds``/``hi_bounds`` hold one
+    ``(constant, outer terms)`` :data:`Bound` per dimension.  ``lo`` and
+    ``hi`` are the same bounds as AffineExprs, built on first use; the
+    constructor also accepts AffineExprs, so a range can be written down
+    symbolically."""
+
+    __slots__ = ("array", "lo_bounds", "hi_bounds", "_exprs")
+
+    def __init__(self, array: Array, lo: Sequence[AffineExpr],
+                 hi: Sequence[AffineExpr]):
+        self.array = array
+        self.lo_bounds: Tuple[Bound, ...] = tuple(_bound(e) for e in lo)
+        self.hi_bounds: Tuple[Bound, ...] = tuple(_bound(e) for e in hi)
+        self._exprs = (tuple(lo), tuple(hi))
+
+    @classmethod
+    def from_hull(cls, array: Array, hull: Hull) -> "CanonicalRange":
+        """The range of a folded :data:`Hull`."""
+        lo, hi, terms = hull
+        crange = cls.__new__(cls)
+        crange.array = array
+        crange.lo_bounds = tuple(zip(lo, terms))
+        crange.hi_bounds = tuple(zip(hi, terms))
+        crange._exprs = None
+        return crange
+
+    @property
+    def lo(self) -> Tuple[AffineExpr, ...]:
+        """Per-dimension lower bounds, symbolic over outer iterators."""
+        return self._symbolic()[0]
+
+    @property
+    def hi(self) -> Tuple[AffineExpr, ...]:
+        """Per-dimension upper bounds, symbolic over outer iterators."""
+        return self._symbolic()[1]
+
+    def _symbolic(self) -> Tuple[Tuple[AffineExpr, ...],
+                                 Tuple[AffineExpr, ...]]:
+        if self._exprs is None:
+            self._exprs = (tuple(_expr(b) for b in self.lo_bounds),
+                           tuple(_expr(b) for b in self.hi_bounds))
+        return self._exprs
 
     @property
     def shape(self) -> Tuple[int, ...]:
         """``Shape(R_a)`` — per-dimension extent (always concrete)."""
         out = []
-        for lo, hi in zip(self.lo, self.hi):
-            delta = hi - lo
-            if not delta.is_constant():
+        for (lo, lo_terms), (hi, hi_terms) in zip(self.lo_bounds,
+                                                  self.hi_bounds):
+            if lo_terms != hi_terms:
                 raise ValueError(
                     f"range of {self.array.name} has non-constant extent: "
-                    f"[{lo!r}, {hi!r}]")
-            out.append(int(delta.constant) + 1)
+                    f"[{_expr((lo, lo_terms))!r}, {_expr((hi, hi_terms))!r}]")
+            out.append(hi - lo + 1)
         return tuple(out)
 
     @property
@@ -87,10 +180,15 @@ class CanonicalRange:
                  ) -> Tuple[Tuple[int, int], ...]:
         """Per-dimension inclusive [min, max] under concrete outer values."""
         outer = outer or {}
-        out = []
-        for lo, hi in zip(self.lo, self.hi):
-            out.append((int(lo.evaluate(outer)), int(hi.evaluate(outer))))
-        return tuple(out)
+
+        def value(bound: Bound) -> int:
+            constant, terms = bound
+            for var, coeff in terms:
+                constant += coeff * outer[var]
+            return int(constant)
+
+        return tuple((value(lo), value(hi))
+                     for lo, hi in zip(self.lo_bounds, self.hi_bounds))
 
     def address_offset(self, outer: Mapping[str, int] | None = None) -> int:
         """Row-major element offset of the range's first element
@@ -104,7 +202,16 @@ class CanonicalRange:
     def same_as(self, other: "CanonicalRange") -> bool:
         """Symbolic equality of two ranges (same hull for every outer
         iteration)."""
-        return self.lo == other.lo and self.hi == other.hi
+        return self.lo_bounds == other.lo_bounds and \
+            self.hi_bounds == other.hi_bounds
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CanonicalRange):
+            return NotImplemented
+        return self.array == other.array and self.same_as(other)
+
+    def __hash__(self) -> int:
+        return hash((self.array.name, self.lo_bounds, self.hi_bounds))
 
     def __repr__(self) -> str:
         dims = "".join(
@@ -132,64 +239,88 @@ def tile_box(component: TilableComponent,
     return box
 
 
-def _stmt_guards(component: TilableComponent, stmt) -> list:
-    """All guards constraining the statement: its own plus those of every
-    surrounding loop (e.g. the ``t > 0`` gates in LSTM).  Cached on the
-    kernel object — this sits on the optimizer's hot path."""
-    kernel = component.kernel
-    cache = getattr(kernel, "_guard_cache", None)
-    if cache is None:
-        cache = {}
-        kernel._guard_cache = cache
-    guards = cache.get(stmt.name)
-    if guards is None:
-        guards = list(stmt.guards)
-        for loop in kernel.surrounding_loops(stmt.name):
-            guards.extend(loop.guards)
-        cache[stmt.name] = guards
-    return guards
-
-
-def _narrow_with_guards(guards, box: Dict[str, Tuple[int, int]]
-                        ) -> Optional[Dict[str, Tuple[int, int]]]:
-    """Intersect a tile box with single-iterator guards.
+def _narrow_with_guards(guards, box: Mapping[str, Tuple[int, int]]
+                        ) -> Optional[Mapping[str, Tuple[int, int]]]:
+    """Intersect a tile box with compiled single-iterator guards
+    ``(var, coeff, constant, is_eq)``.
 
     Returns None when a guard excludes the statement from the tile
-    entirely.  Multi-iterator guards and guards over iterators outside the
-    box (outer loops) are ignored — the hull stays conservative, never too
-    small.
+    entirely.  Guards over iterators outside the box (outer loops) are
+    ignored, as are multi-iterator guards (never compiled) — the hull
+    stays conservative, never too small.
     """
-    narrowed = dict(box)
-    for guard in guards:
-        variables = sorted(guard.variables())
-        if len(variables) != 1 or variables[0] not in narrowed:
+    narrowed: Optional[Dict[str, Tuple[int, int]]] = None
+    for var, coeff, const, is_eq in guards:
+        span = (box if narrowed is None else narrowed).get(var)
+        if span is None:
             continue
-        var = variables[0]
-        coeff = guard.expr.coeff(var)
-        const = guard.expr.constant
-        lo, hi = narrowed[var]
-        if guard.kind == EQ:
+        lo, hi = span
+        if is_eq:
             if const % coeff != 0:
                 return None
             value = -const // coeff
             if value < lo or value > hi:
                 return None
-            narrowed[var] = (value, value)
+            lo = hi = value
         elif coeff > 0:
-            import math
-            from fractions import Fraction
-            lo = max(lo, math.ceil(Fraction(-const, coeff)))
+            lo = max(lo, -(const // coeff))      # ceil(-const / coeff)
             if lo > hi:
                 return None
-            narrowed[var] = (lo, hi)
         else:
-            import math
-            from fractions import Fraction
-            hi = min(hi, math.floor(Fraction(-const, coeff)))
+            hi = min(hi, -const // coeff)        # floor(-const / coeff)
             if lo > hi:
                 return None
-            narrowed[var] = (lo, hi)
-    return narrowed
+        if narrowed is None:
+            narrowed = dict(box)
+        narrowed[var] = (lo, hi)
+    return box if narrowed is None else narrowed
+
+
+def hull_bounds(rows: Sequence[AccessRow], extents: Sequence[int],
+                box: Mapping[str, Tuple[int, int]], *,
+                reads: bool = True, writes: bool = True) -> Optional[Hull]:
+    """Fold a tile box over an array's compiled accesses.
+
+    *rows* is the array's :meth:`~repro.loopir.component.
+    TilableComponent.access_table` and *extents* its shape.  Returns the
+    :data:`Hull` of the selected accesses, or None when no selected
+    access is active in the box.  Per dimension, accesses with equal
+    outer terms combine by min/max of the constants; on a mismatch the
+    dimension widens to ``[0, extent - 1]`` with no outer terms, and
+    folding goes on from there.
+    """
+    ndim = len(extents)
+    lo = [0] * ndim
+    hi = [0] * ndim
+    seen: List[Optional[Terms]] = [None] * ndim
+    active = False
+    for is_read, is_write, guards, dims in rows:
+        if not ((reads and is_read) or (writes and is_write)):
+            continue
+        view = _narrow_with_guards(guards, box) if guards else box
+        if view is None:
+            continue
+        active = True
+        for dim, (constant, terms) in enumerate(dims):
+            dim_lo, dim_hi, free = fold_subscript(constant, terms, view)
+            if seen[dim] is None:
+                lo[dim], hi[dim], seen[dim] = dim_lo, dim_hi, free
+            elif seen[dim] == free:
+                if dim_lo < lo[dim]:
+                    lo[dim] = dim_lo
+                if dim_hi > hi[dim]:
+                    hi[dim] = dim_hi
+            else:
+                lo[dim], hi[dim], seen[dim] = 0, extents[dim] - 1, ()
+    if not active:
+        return None
+    return tuple(lo), tuple(hi), tuple(seen)
+
+
+def hull_shape(hull: Hull) -> Tuple[int, ...]:
+    """Per-dimension extent of a folded hull (both bounds of a dimension
+    share their outer terms, so the extent is an integer)."""
+    return tuple(hi - lo + 1 for lo, hi in zip(hull[0], hull[1]))
 
 
 def canonical_range(component: TilableComponent, array_name: str,
@@ -222,40 +353,9 @@ def access_range(component: TilableComponent, array_name: str,
     if not pairs:
         return None
     array = pairs[0][1].array
-
-    lo: List[Optional[AffineExpr]] = [None] * array.ndim
-    hi: List[Optional[AffineExpr]] = [None] * array.ndim
-    active = False
-    for stmt, access in pairs:
-        if not ((reads and access.is_read) or (writes and access.is_write)):
-            continue
-        narrowed = _narrow_with_guards(
-            _stmt_guards(component, stmt), dict(box))
-        if narrowed is None:
-            continue
-        active = True
-        for dim, expr in enumerate(access.indices):
-            dim_lo, dim_hi = partial_bounds(expr, narrowed)
-            lo[dim] = _symbolic_min(lo[dim], dim_lo, array, dim, True)
-            hi[dim] = _symbolic_min(hi[dim], dim_hi, array, dim, False)
-    if not active:
-        return None
-    return CanonicalRange(array, tuple(lo), tuple(hi))
-
-
-def _symbolic_min(current: Optional[AffineExpr], candidate: AffineExpr,
-                  array: Array, dim: int, take_min: bool) -> AffineExpr:
-    """min/max of affine bounds; widens to the array extent on coefficient
-    mismatch (conservative hull)."""
-    if current is None:
-        return candidate
-    if current.coeffs == candidate.coeffs:
-        if take_min:
-            keep = current.constant <= candidate.constant
-        else:
-            keep = current.constant >= candidate.constant
-        return current if keep else candidate
-    return AffineExpr.const(0 if take_min else array.shape[dim] - 1)
+    hull = hull_bounds(component.access_table(array_name), array.shape,
+                       box, reads=reads, writes=writes)
+    return None if hull is None else CanonicalRange.from_hull(array, hull)
 
 
 def ranges_overlap(a: CanonicalRange, b: CanonicalRange) -> bool:
@@ -265,12 +365,11 @@ def ranges_overlap(a: CanonicalRange, b: CanonicalRange) -> bool:
     intervals on the constant part; any dimension that can be shown
     disjoint makes the ranges disjoint.  Otherwise overlap is assumed.
     """
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(zip(a.lo, a.hi), zip(b.lo, b.hi)):
-        if a_hi.coeffs == b_lo.coeffs and \
-                a_hi.constant < b_lo.constant:
+    for a_lo, a_hi, b_lo, b_hi in zip(a.lo_bounds, a.hi_bounds,
+                                      b.lo_bounds, b.hi_bounds):
+        if a_hi[1] == b_lo[1] and a_hi[0] < b_lo[0]:
             return False
-        if b_hi.coeffs == a_lo.coeffs and \
-                b_hi.constant < a_lo.constant:
+        if b_hi[1] == a_lo[1] and b_hi[0] < a_lo[0]:
             return False
     return True
 
@@ -280,17 +379,24 @@ def bounding_box(component: TilableComponent, array_name: str,
     """``BoundingBox(a)`` — per-dimension max shape over all tiles.
 
     Hulls are monotone in the tile box, so the full (non-remainder) tile
-    dominates every boundary tile; sampling first/last tiles per level
-    covers guard-activated statements as well.
+    dominates the last one; the samples are the first and last tile per
+    level plus, per single-iterator guard on a level, the tiles where the
+    guard switches (see :func:`_sample_tiles`).
     """
-    samples = _sample_tiles(component, tile_sizes)
+    pairs = component.accesses(array_name)
+    if not pairs:
+        raise LookupError(
+            f"array {array_name} is never accessed in component "
+            f"{component.label()}")
+    rows = component.access_table(array_name)
+    extents = pairs[0][1].array.shape
     best: Optional[List[int]] = None
-    for indices in samples:
-        box = tile_box(component, indices, tile_sizes)
-        crange = canonical_range(component, array_name, box)
-        if crange is None:
+    for indices in _sample_tiles(component, tile_sizes, rows):
+        hull = hull_bounds(
+            rows, extents, tile_box(component, indices, tile_sizes))
+        if hull is None:
             continue
-        shape = crange.shape
+        shape = hull_shape(hull)
         if best is None:
             best = list(shape)
         else:
@@ -303,21 +409,58 @@ def bounding_box(component: TilableComponent, array_name: str,
 
 
 def _sample_tiles(component: TilableComponent,
-                  tile_sizes: Mapping[str, int]) -> Iterable[Dict[str, int]]:
-    """First and last tile index per level, crossed over levels."""
+                  tile_sizes: Mapping[str, int],
+                  rows: Sequence[AccessRow]) -> Iterable[Dict[str, int]]:
+    """Tile indices crossed over levels: per level the first and last
+    tile, plus the tiles where a guard on the level switches
+    (:func:`guard_tiles`)."""
     per_level: List[List[int]] = []
     for node in component.nodes:
         size = tile_sizes[node.var]
         count = -(-node.N // size)
-        per_level.append(sorted({0, count - 1}))
+        per_level.append(sorted(
+            {0, count - 1} | guard_tiles(rows, node, size)))
+    band = component.band_vars
+    for indices in product(*per_level):
+        yield dict(zip(band, indices))
 
-    def recurse(level: int, chosen: Dict[str, int]):
-        if level == len(component.nodes):
-            yield dict(chosen)
-            return
-        var = component.nodes[level].var
-        for index in per_level[level]:
-            chosen[var] = index
-            yield from recurse(level + 1, chosen)
 
-    yield from recurse(0, {})
+def guard_tiles(rows: Sequence[AccessRow], node,
+                size: int) -> Set[int]:
+    """Tiles of one band level where a single-iterator guard of the
+    compiled accesses *rows* on the level's iterator switches
+    (:func:`_switch_tiles`), for tile size *size*."""
+    picks: Set[int] = set()
+    for _read, _write, guards, _dims in rows:
+        for var, coeff, const, is_eq in guards:
+            if var == node.var:
+                picks.update(_switch_tiles(node, size, coeff, const, is_eq))
+    return picks
+
+
+def _switch_tiles(node, size: int, coeff: int, const: int,
+                  is_eq: bool) -> Tuple[int, ...]:
+    """Tiles of one level where a guard on its iterator switches.
+
+    The guard admits a run of iterations ``[first, last]`` (one value for
+    ``==``, a half-line for ``>=``/``<=``, clipped to the loop).  A tile
+    holding a boundary of the run sees the statement on part of its box;
+    the tile next to it, inside the run, is the first that sees it whole.
+    Sampling both makes a statement the guard enables only in interior
+    tiles visible to :func:`bounding_box`."""
+    stride, count = node.S, node.N
+    if is_eq:
+        if const % coeff != 0 or (-const // coeff - node.begin) % stride:
+            return ()
+        first = last = (-const // coeff - node.begin) // stride
+    elif coeff > 0:     # value >= ceil(-const / coeff)
+        first = max(0, -((node.begin + const // coeff) // stride))
+        last = count - 1
+    else:               # value <= floor(-const / coeff)
+        first = 0
+        last = min(count - 1, (-const // coeff - node.begin) // stride)
+    if first > last or first >= count or last < 0:
+        return ()
+    lo_tile, hi_tile = first // size, last // size
+    return tuple({lo_tile, hi_tile, min(lo_tile + 1, hi_tile),
+                  max(hi_tile - 1, lo_tile)})

@@ -37,8 +37,10 @@ from ..poly.constraint import EQ
 from ..poly.dependence import shared_prefix
 from ..opt.solution import Solution
 from ..timing.execmodel import ExecModel
+from ..timing.memory import transfer_bytes, transfer_time_ns
 from ..timing.platform import Platform
-from .ranges import _stmt_guards, bounding_box, canonical_range, tile_box
+from .ranges import (bounding_box, guard_tiles, hull_bounds, hull_shape,
+                     tile_box)
 
 RO = "RO"
 WO = "WO"
@@ -159,6 +161,14 @@ class ArrayGeometry:
         self._bounding: Dict[Tuple, Tuple[int, ...]] = {}
         self._range: Dict[Tuple, Tuple[Tuple[int, ...], float, int]] = {}
         self._exec: Dict[Tuple[int, ...], float] = {}
+        self._arrays = component.arrays()
+
+    def _hull(self, name: str, box: Mapping[str, Tuple[int, int]]):
+        """The canonical-range hull of *name* over *box*, on integers."""
+        rows = self.component.access_table(name)
+        if not rows:
+            return None
+        return hull_bounds(rows, self._arrays[name].shape, box)
 
     def key_vars(self, name: str) -> Tuple[str, ...]:
         """Band iterators that can move *name*'s hull: those appearing in
@@ -169,7 +179,7 @@ class ArrayGeometry:
             for stmt, access in self.component.accesses(name):
                 for expr in access.indices:
                     used.update(expr.coeffs)
-                for guard in _stmt_guards(self.component, stmt):
+                for guard in self.component.guards(stmt):
                     used.update(guard.variables())
             cached = tuple(
                 v for v in self.component.band_vars if v in used)
@@ -187,32 +197,32 @@ class ArrayGeometry:
         whole array (e.g. the RNN in-place state update reading ``h[s3]``
         over the full state range) pins the hull regardless of the
         write's tile, so the range never changes and the buffer is never
-        swapped.  The test compares the symbolic hulls of adjacent tiles
-        per level.
+        swapped.  The test compares, per level, the hull of the first
+        tile with that of the next tile and of every tile where a guard
+        on the level switches (a statement a guard enables only in an
+        interior tile moves the hull there and nowhere else).
         """
         key = (name, self._subkey(name, tile_sizes))
         cached = self._relevant.get(key)
         if cached is None:
             relevant = []
+            rows = self.component.access_table(name)
+            base = {n.var: 0 for n in self.component.nodes}
+            hull_a = self._hull(name, tile_box(
+                self.component, base, tile_sizes))
             for level_idx, node in enumerate(self.component.nodes):
-                m = math.ceil(node.N / tile_sizes[node.var])
+                k = tile_sizes[node.var]
+                m = math.ceil(node.N / k)
                 if m <= 1:
                     continue
-                base = {n.var: 0 for n in self.component.nodes}
-                shifted = dict(base)
-                shifted[node.var] = 1
-                range_a = canonical_range(
-                    self.component, name,
-                    tile_box(self.component, base, tile_sizes))
-                range_b = canonical_range(
-                    self.component, name,
-                    tile_box(self.component, shifted, tile_sizes))
-                if range_a is None or range_b is None:
-                    if (range_a is None) != (range_b is None):
+                for index in sorted(({1} | guard_tiles(rows, node, k)) - {0}):
+                    shifted = dict(base)
+                    shifted[node.var] = index
+                    hull_b = self._hull(name, tile_box(
+                        self.component, shifted, tile_sizes))
+                    if hull_a != hull_b:
                         relevant.append(level_idx)
-                    continue
-                if not range_a.same_as(range_b):
-                    relevant.append(level_idx)
+                        break
             cached = tuple(relevant)
             self._relevant[key] = cached
         return cached
@@ -229,7 +239,7 @@ class ArrayGeometry:
 
     def bounding_bytes(self, name: str,
                        tile_sizes: Mapping[str, int]) -> int:
-        total = self.component.arrays()[name].element_size
+        total = self._arrays[name].element_size
         for extent in self.bounding_shape(name, tile_sizes):
             total *= extent
         return total
@@ -251,13 +261,17 @@ class ArrayGeometry:
                 width = int(widths.get(node.var, k))
                 m = math.ceil(node.N / k)
                 tile_indices[node.var] = 0 if width == k else m - 1
-            box = tile_box(self.component, tile_indices, tile_sizes)
-            crange = canonical_range(self.component, name, box)
-            if crange is None:
+            hull = self._hull(
+                name, tile_box(self.component, tile_indices, tile_sizes))
+            if hull is None:
                 cached = ((), 0.0, 0)
             else:
-                cached = (crange.shape, crange.transfer_ns(self.platform),
-                          crange.bytes)
+                array = self._arrays[name]
+                shape = hull_shape(hull)
+                cached = (shape,
+                          transfer_time_ns(shape, array.shape,
+                                           array.element_size, self.platform),
+                          transfer_bytes(shape, array.element_size))
             self._range[key] = cached
         return cached
 

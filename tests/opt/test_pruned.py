@@ -11,6 +11,7 @@ outside the contract.
 import math
 import multiprocessing
 import os
+import random
 import tempfile
 from unittest import mock
 
@@ -21,13 +22,16 @@ from hypothesis import strategies as st
 from repro.kernels import make_kernel
 from repro.loopir import LoopTree
 from repro.loopir.builder import for_, kernel_, stmt_
-from repro.loopir.component import component_at
+from repro.loopir.component import TilableComponent, component_at
+from repro.loopir.validity import is_chain_extendable
 from repro.opt import bounds as bounds_mod
 from repro.opt import tree as tree_mod
 from repro.opt.cache import PersistentCache
 from repro.opt.exhaustive import ExhaustiveOptimizer, SearchSpaceTooLarge
 from repro.opt.greedy import GreedyOptimizer
-from repro.opt.pruned import PrunedOptimizer
+from repro.opt.bounds import BoundCalculator
+from repro.opt.pruned import PrunedOptimizer, enumerate_candidates
+from repro.opt.threadgroups import generate_nondominated_thread_groups
 from repro.opt.tree import TreeOptimizer
 from repro.poly.access import Array
 from repro.sim.profiler import fit_component_model
@@ -260,3 +264,68 @@ class TestTreeChainSkip:
                 forced = TreeOptimizer(tree).optimize(Platform())
         assert forced.chains_pruned > 0
         assert forced.makespan_ns >= free.makespan_ns
+
+
+# -- the lazily built candidate sequence ------------------------------------
+
+
+def _search_chains(tree):
+    """The chains Algorithm 2 hands to a component search: maximal
+    extendable chains down to each leaf, and the chain ending at each
+    branching node."""
+    def walk(node, chain):
+        chain = chain + [node]
+        if not node.children:
+            yield tuple(chain)
+            return
+        if is_chain_extendable(node.loop) and len(node.children) == 1:
+            yield from walk(node.children[0], chain)
+            return
+        yield tuple(chain)
+        for child in node.children:
+            yield from walk(child, [])
+
+    for root in tree.roots:
+        yield from walk(root, [])
+
+
+class TestCandidateSequence:
+    """The vectorized enumeration returns a lazily built sequence; it
+    must equal the scalar path's sorted list element for element, on
+    every corpus component at SMALL and on cnn/LARGE's 139k points."""
+
+    @pytest.mark.parametrize("name,preset", [
+        ("cnn", "SMALL"), ("convrelu", "SMALL"), ("lstm", "SMALL"),
+        ("maxpool", "SMALL"), ("sumpool", "SMALL"), ("rnn", "SMALL"),
+        ("cnn", "LARGE")])
+    def test_equals_scalar_list(self, name, preset):
+        tree = LoopTree.build(make_kernel(name, preset))
+        for chain in _search_chains(tree):
+            self._check(TilableComponent(tree, chain))
+
+    def _check(self, comp):
+        model = fit_component_model(comp)
+        platform = Platform()
+        assignments = generate_nondominated_thread_groups(8, comp)
+        lazy, lazy_groups, lazy_pruned = enumerate_candidates(
+            comp, assignments, BoundCalculator(comp, platform, model),
+            lambda: None, vectorize=True)
+        scalar, groups, pruned = enumerate_candidates(
+            comp, assignments, BoundCalculator(comp, platform, model),
+            lambda: None, vectorize=False)
+        assert (lazy_pruned, lazy_groups) == (pruned, groups)
+        assert len(lazy) == len(scalar)
+        assert list(lazy) == scalar
+        rng = random.Random(len(scalar))
+        for i in rng.sample(range(-len(scalar), len(scalar)),
+                            min(200, 2 * len(scalar))):
+            assert lazy[i] == scalar[i]
+            bound, flat, sizes, ai = lazy[i]
+            assert type(bound) is float and type(ai) is int
+            assert all(type(x) is int for x in flat + sizes)
+        for start in range(3):
+            shard = lazy[start::3]
+            assert len(shard) == len(scalar[start::3])
+            assert list(shard) == scalar[start::3]
+            if len(shard):
+                assert shard[-1] == scalar[start::3][-1]
