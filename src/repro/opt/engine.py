@@ -21,7 +21,12 @@ serial semantics bit-for-bit:
   scalars.
 
 On platforms without ``fork`` (or with ``jobs <= 1``) the engine
-degrades to inline evaluation — same results, same counts, one process.
+degrades to inline evaluation — same results, same counts, one process;
+with ``vectorize`` the inline path scores fresh candidates through one
+:class:`~repro.opt.vectorized.BatchEvaluator` call and workers score
+their chunks the same way.  The bound-driven searches hand every window
+of their candidate walk to :meth:`EvaluationEngine.evaluate_fresh`, so
+the engine alone decides how a window is scored.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import OptimizerTimeout
@@ -58,17 +63,14 @@ _WORKER: Dict[str, object] = {}
 
 
 def _init_worker(component, platform, exec_model, segment_cap, modes,
-                 deadline, stage, budget_s, incumbent=None,
-                 vectorize=False) -> None:
+                 deadline, stage, budget_s, vectorize=False) -> None:
     """Pool initializer: build this process's evaluator once.
 
     Under the fork start method the arguments are inherited by memory
     copy, so the component's compute closures never need pickling.
     ``perf_counter`` is CLOCK_MONOTONIC on Linux and therefore
     comparable across the fork, which keeps the parent's deadline
-    meaningful inside workers.  *incumbent* is a shared double holding
-    the parent's best makespan so far (inf when none), read by the
-    bounded-evaluation path.  With *vectorize* the worker scores its
+    meaningful inside workers.  With *vectorize* the worker scores its
     chunks through a :class:`BatchEvaluator` (bit-identical outcomes,
     one tensor program per sub-batch instead of one plan per
     candidate)."""
@@ -77,7 +79,6 @@ def _init_worker(component, platform, exec_model, segment_cap, modes,
     if deadline is not None:
         evaluator.set_deadline(deadline, stage, budget_s)
     _WORKER["evaluator"] = evaluator
-    _WORKER["incumbent"] = incumbent
     _WORKER["batch"] = BatchEvaluator(evaluator) if vectorize else None
 
 
@@ -141,49 +142,6 @@ def _eval_chunk(requests: Sequence[Request]) -> Dict:
         "timeout": timeout,
         "batched": batched,
         "batch_fallbacks": fallbacks,
-    }
-
-
-def _eval_bounded_chunk(payload: Dict) -> Dict:
-    """Evaluate one chunk of bounded candidates, re-checking bounds.
-
-    The payload carries per-candidate admissible lower bounds and the
-    incumbent rank ``(makespan, flat key)`` current at submission time.
-    Several chunks are in flight at once, so by the time a worker picks
-    one up the parent may already hold a better incumbent than the one
-    these candidates were screened against; the shared-memory incumbent
-    (updated by the parent on every improvement) lets the re-check skip
-    planning for candidates another in-flight chunk has since beaten.
-    Both checks are sound — an admissible bound at or above a feasible
-    makespan rank can never belong to the winner — so only the *counts*
-    depend on worker timing, never the result.  Skipped candidates
-    return a ``None`` outcome slot; the parent counts them as pruned."""
-    evaluator = _WORKER["evaluator"]
-    shared = _WORKER.get("incumbent")
-    incumbent = payload["incumbent"]
-    started = time.perf_counter()
-    outcomes: List[Optional[Tuple[float, bool, str, int, int]]] = []
-    timeout: Optional[Tuple[str, float]] = None
-    for tile_sizes, thread_groups, bound_ns, flat in payload["requests"]:
-        if incumbent is not None and (bound_ns, flat) >= tuple(incumbent):
-            outcomes.append(None)
-            continue
-        if shared is not None and bound_ns > shared.value:
-            outcomes.append(None)
-            continue
-        try:
-            result = evaluator.evaluate_params(tile_sizes, thread_groups)
-        except OptimizerTimeout as error:
-            timeout = (error.stage, error.budget_s)
-            break
-        outcomes.append((
-            result.makespan_ns, result.feasible, result.reason,
-            result.spm_bytes_needed, result.transferred_bytes,
-        ))
-    return {
-        "outcomes": outcomes,
-        "busy_s": time.perf_counter() - started,
-        "timeout": timeout,
     }
 
 
@@ -307,7 +265,6 @@ class EvaluationEngine:
         self._batched = 0
         self._batch_fallbacks = 0
         self._batch: Optional[BatchEvaluator] = None   # serial vector path
-        self._incumbent_cell = None   # shared double for bounded dispatch
 
     # -- lifecycle --------------------------------------------------------
 
@@ -319,7 +276,6 @@ class EvaluationEngine:
         if self._pool is None:
             context = multiprocessing.get_context("fork")
             evaluator = self.evaluator
-            self._incumbent_cell = context.Value("d", float("inf"))
             self._pool = context.Pool(
                 self.jobs,
                 initializer=_init_worker,
@@ -327,7 +283,7 @@ class EvaluationEngine:
                           evaluator.exec_model, evaluator.segment_cap,
                           evaluator.modes, evaluator.deadline,
                           evaluator.stage, evaluator.budget_s,
-                          self._incumbent_cell, self.vectorize),
+                          self.vectorize),
             )
         return self._pool
 
@@ -383,8 +339,8 @@ class EvaluationEngine:
         started = time.perf_counter()
         results: List[List[Optional[MakespanResult]]] = [
             [None] * len(chunk) for chunk in chunks]
-        # (chunk index, request index, solution) per fresh candidate,
-        # deduplicated by solution key across the whole batch.
+        # (chunk index, request index) per fresh candidate, deduplicated
+        # by solution key across the whole batch.
         fresh: Dict[tuple, List[Tuple[int, int]]] = {}
         fresh_solutions: Dict[tuple, Solution] = {}
 
@@ -406,31 +362,12 @@ class EvaluationEngine:
                 fresh.setdefault(key, []).append((ci, ri))
                 fresh_solutions.setdefault(key, solution)
 
-        if fresh:
-            self.evaluator.check_deadline()
-            if self.parallel:
-                self._dispatch(fresh, fresh_solutions, results)
-            elif self.vectorize:
-                if self._batch is None:
-                    self._batch = BatchEvaluator(self.evaluator)
-                keys = list(fresh.keys())
-                scored = self._batch.evaluate_batch(
-                    [fresh_solutions[key] for key in keys])
-                for key, result, exact in zip(
-                        keys, scored, self._batch.exactness_mask):
-                    if exact:
-                        self._batched += 1
-                    else:
-                        self._batch_fallbacks += 1
-                    for ci, ri in fresh[key]:
-                        results[ci][ri] = result
-            else:
-                for key, places in fresh.items():
-                    result = self.evaluator.evaluate(fresh_solutions[key])
-                    for ci, ri in places:
-                        results[ci][ri] = result
-
         self._elapsed_s += time.perf_counter() - started
+        keys = list(fresh)
+        scored = self.evaluate_fresh([fresh_solutions[key] for key in keys])
+        for key, result in zip(keys, scored):
+            for ci, ri in fresh[key]:
+                results[ci][ri] = result
         return [list(chunk) for chunk in results]    # type: ignore
 
     def evaluate_many(self, requests: Sequence[Request]
@@ -449,42 +386,63 @@ class EvaluationEngine:
         chunked = self.evaluate_chunks(buckets)
         return [chunked[b][i] for b, i in order]
 
-    def _dispatch(self, fresh: Dict[tuple, List[Tuple[int, int]]],
-                  solutions: Dict[tuple, Solution],
-                  results: List[List[Optional[MakespanResult]]]) -> None:
+    def evaluate_fresh(self, solutions: Sequence[Solution]
+                       ) -> List[MakespanResult]:
+        """Score distinct solutions that neither the evaluator's memo nor
+        the persistent cache holds; results align with the input.
+
+        The scoring step behind :meth:`evaluate_chunks`: over the pool,
+        as one :class:`BatchEvaluator` program (``vectorize``), or one
+        plan at a time.  A caller that has already peeked every
+        candidate, like the candidate walk, calls it directly."""
+        if not solutions:
+            return []
+        started = time.perf_counter()
+        self.evaluator.check_deadline()
+        if self.parallel:
+            results = self._dispatch(solutions)
+        elif self.vectorize:
+            if self._batch is None:
+                self._batch = BatchEvaluator(self.evaluator)
+            results = self._batch.evaluate_batch(solutions)
+            exact = sum(self._batch.exactness_mask)
+            self._batched += exact
+            self._batch_fallbacks += len(results) - exact
+        else:
+            results = [self.evaluator.evaluate(s) for s in solutions]
+        self._elapsed_s += time.perf_counter() - started
+        return results
+
+    def _dispatch(self, solutions: Sequence[Solution]
+                  ) -> List[MakespanResult]:
         pool = self._ensure_pool()
-        keys = list(fresh.keys())
         # A few chunks per worker: big enough to amortize task overhead,
         # small enough that an uneven assignment cannot starve the pool.
-        chunk_count = min(len(keys), self.jobs * 4)
-        task_keys: List[List[tuple]] = [[] for _ in range(chunk_count)]
-        for index, key in enumerate(keys):
-            task_keys[index % chunk_count].append(key)
-        tasks = [
-            [(solutions[key].tile_sizes, solutions[key].thread_groups)
-             for key in group]
-            for group in task_keys
-        ]
-        self._dispatched += len(keys)
+        chunk_count = min(len(solutions), self.jobs * 4)
+        groups = [range(start, len(solutions), chunk_count)
+                  for start in range(chunk_count)]
+        tasks = [[(solutions[i].tile_sizes, solutions[i].thread_groups)
+                  for i in group] for group in groups]
+        self._dispatched += len(solutions)
         self._chunks += len(tasks)
+        results: List[Optional[MakespanResult]] = [None] * len(solutions)
         timeout: Optional[Tuple[str, float]] = None
-        for group, reply in zip(task_keys, pool.imap(_eval_chunk, tasks)):
+        for group, reply in zip(groups, pool.imap(_eval_chunk, tasks)):
             self._busy_s += reply["busy_s"]
             self._batched += reply.get("batched", 0)
             self._batch_fallbacks += reply.get("batch_fallbacks", 0)
-            for key, outcome in zip(group, reply["outcomes"]):
+            for i, outcome in zip(group, reply["outcomes"]):
                 makespan_ns, feasible, reason, spm, transferred = outcome
-                result = self.evaluator.record_remote(
-                    solutions[key], makespan_ns, feasible, reason,
+                results[i] = self.evaluator.record_remote(
+                    solutions[i], makespan_ns, feasible, reason,
                     spm_bytes=spm, transferred_bytes=transferred)
-                for ci, ri in fresh[key]:
-                    results[ci][ri] = result
             if reply["timeout"] is not None and timeout is None:
                 timeout = reply["timeout"]
         if timeout is not None:
             raise OptimizerTimeout(*timeout)
+        return results    # type: ignore
 
-    # -- bounded dispatch (branch-and-bound search) -----------------------
+    # -- pruning accounting -----------------------------------------------
 
     def note_pruned(self, count: int = 1) -> None:
         """Account candidates the caller discarded on an admissible bound."""
@@ -493,51 +451,6 @@ class EvaluationEngine:
     def note_bound_hit(self, count: int = 1) -> None:
         """Account pruned candidates the persistent cache already knew."""
         self._bound_hits += count
-
-    def publish_incumbent(self, makespan_ns: float) -> None:
-        """Expose the parent's best makespan to in-flight workers."""
-        if self._incumbent_cell is not None:
-            self._incumbent_cell.value = makespan_ns
-
-    def submit_bounded(self, requests, incumbent):
-        """Ship one chunk of bounded candidates to the pool (parallel
-        engines only) and return the async reply handle.
-
-        *requests* entries are ``(tile_sizes, thread_groups, bound_ns,
-        flat_key)``; *incumbent* is the current ``(makespan, flat_key)``
-        rank or None.  The caller harvests replies strictly in
-        submission order (:meth:`harvest_bounded`), which keeps the
-        winner deterministic regardless of worker scheduling."""
-        pool = self._ensure_pool()
-        self._dispatched += len(requests)
-        self._chunks += 1
-        payload = {"requests": list(requests), "incumbent": incumbent}
-        return pool.apply_async(_eval_bounded_chunk, (payload,))
-
-    def harvest_bounded(self, reply, solutions) -> List[
-            Optional[MakespanResult]]:
-        """Adopt one bounded chunk's outcomes, aligned with *solutions*.
-
-        Worker-pruned candidates come back as None (already counted via
-        :meth:`note_pruned` here); evaluated outcomes are recorded into
-        the parent evaluator exactly like plain dispatch.  A worker
-        timeout re-raises after the chunk's completed outcomes are
-        adopted, so no finished plan is wasted."""
-        data = reply.get()
-        self._busy_s += data["busy_s"]
-        results: List[Optional[MakespanResult]] = []
-        for solution, outcome in zip(solutions, data["outcomes"]):
-            if outcome is None:
-                self._pruned += 1
-                results.append(None)
-                continue
-            makespan_ns, feasible, reason, spm, transferred = outcome
-            results.append(self.evaluator.record_remote(
-                solution, makespan_ns, feasible, reason,
-                spm_bytes=spm, transferred_bytes=transferred))
-        if data["timeout"] is not None:
-            raise OptimizerTimeout(*data["timeout"])
-        return results
 
     # -- reduction --------------------------------------------------------
 

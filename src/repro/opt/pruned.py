@@ -19,11 +19,17 @@ then walks candidates best-bound-first with an incumbent:
 Because every bound is admissible (a true lower bound on the candidate's
 makespan) and the prune comparisons reuse the exhaustive search's
 ``(makespan, solution key)`` tie-break rank, the winner is bit-identical
-to the unpruned search — including the no-feasible-candidate case.  The
-evaluation *count* is exactly what pruning reduces, so it is not part of
-the parity contract; with ``jobs > 1`` the count may additionally vary
-with worker timing (workers re-check bounds against a live incumbent),
-while the winner still cannot change.
+to the unpruned search — including the no-feasible-candidate case.
+
+The walk (:func:`walk_candidates`) is the one the Pareto search uses
+too; only its acceptance policy differs (:class:`Incumbent` here, a
+dominance archive there).  It scores survivors in doubling windows
+through the :class:`~repro.opt.engine.EvaluationEngine`, and the policy
+moves only at window boundaries, so the evaluated/pruned split is a pure
+function of the candidate list: the same for every ``jobs`` and
+``vectorize`` setting and on a warm cache.  The evaluation *count* is
+exactly what pruning reduces, so it is not part of the parity contract
+with the exhaustive search.
 
 Pruned candidates are recorded in the persistent cache as bound-only
 entries; re-encountering one on a warm run counts as a *bound hit*.
@@ -34,7 +40,7 @@ from __future__ import annotations
 import collections.abc
 import math
 import time
-from collections import deque
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,22 +65,17 @@ from .exhaustive import (
 )
 from .solution import Solution
 from .threadgroups import generate_nondominated_thread_groups
-from .vectorized import BatchEvaluator
 
 #: The pruned path affords a far larger space than the exhaustive
 #: guard's 20k: most candidates cost one closed-form bound, not a plan.
 DEFAULT_PRUNED_MAX_POINTS = 500_000
 
-#: Candidates per worker task; small keeps the shipped incumbent fresh.
-_CHUNK_SIZE = 8
-
-#: Deadline poll stride for the bound-only phases.
+#: Deadline poll stride for the bound-only enumeration.
 _DEADLINE_STRIDE = 512
 
-#: Candidates per batch-exact window of the vectorized serial walk.  The
-#: incumbent advances only at window boundaries, so the window bounds how
-#: many candidates can be batch-scored that a per-candidate walk would
-#: have pruned against a fresher incumbent.
+#: Slots of the walk's largest window.  The policy advances only at
+#: window boundaries, so the window bounds how many candidates can be
+#: scored that a policy advanced per candidate would have pruned.
 _BATCH_WINDOW = 256
 
 #: Size of the *first* window; windows double up to ``_BATCH_WINDOW``.
@@ -241,6 +242,158 @@ def enumerate_candidates(component: TilableComponent,
         groups_maps, pruned)
 
 
+@dataclass
+class CandidateSpace:
+    """One component's Algorithm-1 candidate space, as a walk reads it.
+
+    ``candidates`` is this shard's slice of the finite-bound candidates,
+    best-bound-first; ``size`` counts every point of the space and
+    ``pruned`` the points whose quick bound is infinite."""
+
+    component: TilableComponent
+    assignments: List[Tuple[int, ...]]
+    groups_maps: List[Dict[str, int]]
+    candidates: Sequence[_Candidate]
+    size: int
+    pruned: int
+
+    def solution(self, sizes: Tuple[int, ...], ai: int) -> Solution:
+        """The solution of tile sizes *sizes* under assignment *ai*."""
+        variables = (node.var for node in self.component.nodes)
+        return Solution(self.component, dict(zip(variables, sizes)),
+                        self.groups_maps[ai])
+
+
+def candidate_space(component: TilableComponent, cores: int,
+                    bounds: BoundCalculator, check: Callable[[], None], *,
+                    max_points: int, strategy: str, vectorize: bool = True,
+                    shard_of: Optional[Tuple[int, int]] = None
+                    ) -> CandidateSpace:
+    """Thread groups, space guard, quick-bound screen and shard slice.
+
+    Raises :class:`SearchSpaceTooLarge` past *max_points* (the message
+    names *strategy*).  A shard takes the sorted list round-robin
+    (``[i::n]``): its slice is itself sorted, so tail pruning stays
+    valid, and the best bounds spread evenly, so every shard lands a
+    competitive incumbent early.  Candidates of other shards are not
+    counted as pruned."""
+    assignments = generate_nondominated_thread_groups(cores, component)
+    size = space_size_of(component, assignments)
+    if size > max_points:
+        raise SearchSpaceTooLarge(
+            f"{size} candidate points exceed the {strategy}-search budget "
+            f"of {max_points}; use the heuristic (Algorithm 1)")
+    candidates, groups_maps, pruned = enumerate_candidates(
+        component, assignments, bounds, check, vectorize=vectorize)
+    if shard_of is not None:
+        index, count = shard_of
+        candidates = candidates[index::count]
+    return CandidateSpace(component, assignments, groups_maps, candidates,
+                          size, pruned)
+
+
+class WalkPolicy:
+    """What :func:`walk_candidates` asks of a search: which candidates
+    to prune, and what to make of each scored one."""
+
+    def cuts_tail(self, bound: float, flat: Tuple[int, ...]) -> bool:
+        """Whether the candidate ranked ``(bound, flat)`` and, the list
+        being sorted, every later one can be pruned unseen."""
+        return False
+
+    def screen(self, bound: float, sizes: Tuple[int, ...],
+               assignment: Tuple[int, ...], flat: Tuple[int, ...],
+               solution: Solution) -> Optional[float]:
+        """The bound to persist if the uncached candidate is pruned,
+        None if it must be scored."""
+        raise NotImplementedError
+
+    def adopt(self, flat: Tuple[int, ...], result: MakespanResult) -> None:
+        """Take one scored (or cached) candidate, in list order."""
+        raise NotImplementedError
+
+
+class Incumbent(WalkPolicy):
+    """Scalar acceptance policy: the best ``(makespan, flat key)`` rank.
+
+    Prunes the sorted tail at the rank, and single candidates whose
+    refined bound cannot beat it.  *rank* seeds it (see
+    :meth:`PrunedOptimizer._seed`)."""
+
+    def __init__(self, bounds: BoundCalculator, rank: Optional[tuple]):
+        self.bounds = bounds
+        self.rank = rank
+        self.best: Optional[MakespanResult] = None
+
+    def cuts_tail(self, bound, flat):
+        return self.rank is not None and (bound, flat) >= self.rank
+
+    def screen(self, bound, sizes, assignment, flat, solution):
+        refined = self.bounds.refine(bound, sizes, assignment)
+        if math.isinf(refined) or self.cuts_tail(refined, flat):
+            return refined
+        return None
+
+    def adopt(self, flat, result):
+        if result.feasible:
+            rank = (result.makespan_ns, flat)
+            if self.rank is None or rank < self.rank:
+                self.best, self.rank = result, rank
+
+
+def _prune_one(engine: EvaluationEngine, key: tuple, bound: float) -> None:
+    engine.note_pruned()
+    if engine.evaluator.persist_bound(key, bound):
+        engine.note_bound_hit()
+
+
+def walk_candidates(space: CandidateSpace, engine: EvaluationEngine,
+                    policy: WalkPolicy) -> None:
+    """Walk *space* best-bound-first, scoring through *engine*.
+
+    Candidates are collected into windows of ``_FIRST_WINDOW`` slots,
+    doubling to ``_BATCH_WINDOW``.  In list order: the policy may cut
+    the whole remaining tail; a memo/cache hit takes a slot; any other
+    candidate is screened by the policy and, unless pruned, takes a slot
+    as fresh work.  Each window's fresh candidates are scored by one
+    :meth:`EvaluationEngine.evaluate_fresh` call (serial, batch-exact or
+    worker pool, as the engine was built), then every slot is adopted in
+    list order.  The policy moves only there, at the window boundary, so
+    the screen decisions do not depend on ``jobs``, ``vectorize`` or
+    what the cache held: a warm re-run prunes the same candidates and
+    persists the same bounds as the cold run.  Prunes, those of the
+    enumeration included, are counted on the engine."""
+    evaluator = engine.evaluator
+    candidates = space.candidates
+    engine.note_pruned(space.pruned)
+    pos, total, limit = 0, len(candidates), _FIRST_WINDOW
+    while pos < total:
+        evaluator.check_deadline()
+        #: (flat key, cached result or None, solution)
+        window: List[tuple] = []
+        while pos < total and len(window) < limit:
+            bound, flat, sizes, ai = candidates[pos]
+            if policy.cuts_tail(bound, flat):
+                engine.note_pruned(total - pos)
+                pos = total
+                break
+            pos += 1
+            solution = space.solution(sizes, ai)
+            hit = evaluator.peek(solution)
+            if hit is None:
+                pruned_at = policy.screen(
+                    bound, sizes, space.assignments[ai], flat, solution)
+                if pruned_at is not None:
+                    _prune_one(engine, solution.key(), pruned_at)
+                    continue
+            window.append((flat, hit, solution))
+        limit = min(limit * 2, _BATCH_WINDOW)
+        scored = iter(engine.evaluate_fresh(
+            [solution for _, hit, solution in window if hit is None]))
+        for flat, hit, _solution in window:
+            policy.adopt(flat, hit if hit is not None else next(scored))
+
+
 class PrunedOptimizer:
     """Branch-and-bound twin of :class:`ExhaustiveOptimizer`.
 
@@ -286,97 +439,41 @@ class PrunedOptimizer:
             component, platform, exec_model, segment_cap,
             modes=self.evaluator.planner.modes,
             geometry=self.evaluator.geometry)
-        self.batch = BatchEvaluator(self.evaluator) if vectorize else None
         self.metrics: Optional[EngineMetrics] = None
-        self._vars = [node.var for node in component.nodes]
-        self._assignments: List[Tuple[int, ...]] = []
-        self._pruned = 0
-        self._bound_hits = 0
-
-    # -- search ------------------------------------------------------------
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores
         started = time.perf_counter()
-        self._pruned = 0
-        self._bound_hits = 0
-        self._assignments = generate_nondominated_thread_groups(
-            cores, self.component)
-        size = space_size_of(self.component, self._assignments)
-        if size > self.max_points:
-            raise SearchSpaceTooLarge(
-                f"{size} candidate points exceed the pruned-search budget "
-                f"of {self.max_points}; use the heuristic (Algorithm 1)")
-
-        batch_scored0 = self.batch.scored if self.batch else 0
-        batch_fell0 = self.batch.fallbacks if self.batch else 0
-        candidates, groups_maps = self._enumerate()
-        seed, seed_result = self._seed(groups_maps)
+        space = candidate_space(
+            self.component, cores, self.bounds,
+            self.evaluator.check_deadline, max_points=self.max_points,
+            strategy="pruned", vectorize=self.vectorize,
+            shard_of=self.shard_of)
+        seed, seed_result = self._seed(space)
+        incumbent = Incumbent(self.bounds, seed)
         with EvaluationEngine(self.evaluator, jobs=self.jobs,
-                              stage="pruned") as engine:
-            engine.note_pruned(self._pruned)   # enumeration-time drops
-            walk = (self._search_parallel if engine.parallel
-                    else self._search_serial)
-            best = walk(engine, candidates, groups_maps, seed)
-            if best is None:
-                # Nothing ranks below a validated seed: it is the winner.
-                best = seed_result
-            best = engine.finalize(best)
-            self.metrics = engine.metrics()
-        if self.batch is not None:
-            # The serial-batched walk scores through ``self.batch``,
-            # which the engine never sees; fold its counters in so
-            # ``metrics.batched``/``batch_fallbacks`` survive the shard
-            # and scenario merge paths.  Worker-side batch counts are
-            # already in the engine metrics and the two paths never
-            # overlap, so this is a sum, not a double-count.
-            self.metrics.batched += self.batch.scored - batch_scored0
-            self.metrics.batch_fallbacks += \
-                self.batch.fallbacks - batch_fell0
+                              stage="pruned",
+                              vectorize=self.vectorize) as engine:
+            walk_candidates(space, engine, incumbent)
+            # Nothing ranks below a validated seed: it is the winner.
+            best = engine.finalize(incumbent.best if incumbent.best
+                                   is not None else seed_result)
+            metrics = self.metrics = engine.metrics()
         return ComponentOptResult(
             component=self.component,
             best=best,
             evaluations=self.evaluator.evaluations,
             elapsed_s=time.perf_counter() - started,
-            assignments_tried=len(self._assignments),
+            assignments_tried=len(space.assignments),
             cache_hits=self.evaluator.cache_hits,
-            pruned=self._pruned,
-            bound_hits=self._bound_hits,
-            batched=(self.batch.scored - batch_scored0
-                     if self.batch else 0),
-            batch_fallbacks=(self.batch.fallbacks - batch_fell0
-                             if self.batch else 0),
+            pruned=metrics.pruned,
+            bound_hits=metrics.bound_hits,
+            batched=metrics.batched,
+            batch_fallbacks=metrics.batch_fallbacks,
             exec_model=self.exec_model,
         )
 
-    # -- enumeration (tier-1 bounds) ---------------------------------------
-
-    def _enumerate(self) -> Tuple[Sequence[_Candidate],
-                                  List[Dict[str, int]]]:
-        """Bound every candidate point and sort best-bound-first.
-
-        Provably infeasible points (quick bound of +inf) never enter the
-        list: an admissible bound of infinity means the planner is
-        guaranteed to reject them, so they cannot be the winner — the
-        exhaustive search evaluates them only to learn the same thing.
-        With vectorization the bounds come out of
-        :meth:`BoundCalculator.quick_bound_array` (bitwise the scalar
-        values, so the same list and the same pruned count)."""
-        candidates, groups_maps, pruned = enumerate_candidates(
-            self.component, self._assignments, self.bounds,
-            self.evaluator.check_deadline, vectorize=self.vectorize)
-        self._pruned += pruned
-        if self.shard_of is not None:
-            # Round-robin over the *sorted* list: each shard's slice is
-            # itself sorted (tail pruning stays valid) and the best
-            # bounds spread evenly, so every shard lands a competitive
-            # incumbent early.  Dropped candidates belong to other
-            # shards — they are not "pruned" work.
-            index, count = self.shard_of
-            candidates = candidates[index::count]
-        return candidates, groups_maps
-
-    def _seed(self, groups_maps: List[Dict[str, int]]
+    def _seed(self, space: CandidateSpace
               ) -> Tuple[Optional[tuple], Optional[MakespanResult]]:
         """The walk's starting incumbent rank, and the result to return
         when no candidate beats it.
@@ -396,219 +493,16 @@ class PrunedOptimizer:
             return self.incumbent, None
         makespan, flat = self.incumbent
         sizes, assignment = flat[0::2], flat[1::2]
-        if len(flat) != 2 * len(self._vars) or \
-                assignment not in self._assignments:
+        if len(flat) != 2 * len(self.component.nodes) or \
+                assignment not in space.assignments:
             return None, None
-        ai = self._assignments.index(assignment)
+        ai = space.assignments.index(assignment)
         _groups, candidate_lists = assignment_candidates(
             self.component, assignment)
         if not all(k in lst for k, lst in zip(sizes, candidate_lists)) or \
                 math.isinf(self.bounds.quick_bound(sizes, assignment)):
             return None, None
-        hit = self.evaluator.peek(self._solution(sizes, groups_maps[ai]))
+        hit = self.evaluator.peek(space.solution(sizes, ai))
         if hit is not None and hit.feasible and hit.makespan_ns == makespan:
             return self.incumbent, hit
         return None, None
-
-    def _solution(self, sizes: Tuple[int, ...],
-                  groups: Dict[str, int]) -> Solution:
-        return Solution(
-            self.component, dict(zip(self._vars, sizes)), groups)
-
-    def _prune_one(self, engine: EvaluationEngine, key: tuple,
-                   bound: float) -> None:
-        self._pruned += 1
-        engine.note_pruned()
-        if self.evaluator.persist_bound(key, bound):
-            self._bound_hits += 1
-            engine.note_bound_hit()
-
-    # -- serial walk -------------------------------------------------------
-
-    def _search_serial(self, engine: EvaluationEngine,
-                       candidates: Sequence[_Candidate],
-                       groups_maps: List[Dict[str, int]],
-                       seed: Optional[tuple]
-                       ) -> Optional[MakespanResult]:
-        if self.batch is not None:
-            return self._search_serial_batched(
-                engine, candidates, groups_maps, seed)
-        evaluator = self.evaluator
-        best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = seed
-        for pos, (bound, flat, sizes, ai) in enumerate(candidates):
-            if pos % _DEADLINE_STRIDE == 0:
-                evaluator.check_deadline()
-            if best_rank is not None and (bound, flat) >= best_rank:
-                # The list is sorted by (bound, flat): everything from
-                # here on is at or past the incumbent's rank too.
-                remaining = len(candidates) - pos
-                self._pruned += remaining
-                engine.note_pruned(remaining)
-                break
-            solution = self._solution(sizes, groups_maps[ai])
-            result = evaluator.peek(solution)
-            if result is None:
-                refined = self.bounds.refine(
-                    bound, sizes, self._assignments[ai])
-                if math.isinf(refined) or (
-                        best_rank is not None and
-                        (refined, flat) >= best_rank):
-                    self._prune_one(engine, solution.key(), refined)
-                    continue
-                result = evaluator.evaluate(solution)
-            if result.feasible:
-                rank = (result.makespan_ns, flat)
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = result, rank
-        return best
-
-    def _search_serial_batched(self, engine: EvaluationEngine,
-                               candidates: Sequence[_Candidate],
-                               groups_maps: List[Dict[str, int]],
-                               seed: Optional[tuple]
-                               ) -> Optional[MakespanResult]:
-        """The serial walk with batch-exact scoring per window.
-
-        Candidates are collected into windows (``_FIRST_WINDOW`` slots,
-        doubling to ``_BATCH_WINDOW``); every window
-        is scored by one :class:`BatchEvaluator` tensor program and the
-        incumbent advances only at window boundaries.  Memo/cache hits
-        occupy window slots and adopt at the boundary too, so a warm
-        re-run sees the *identical* incumbent trajectory as the cold run
-        — the same candidates are pruned, the same bounds persisted
-        (the warm-bound-hits accounting relies on this).  Versus the
-        per-candidate walk, the winner is bit-identical (every prune is
-        still admissible); only the evaluated/pruned split can differ,
-        bounded by the window size."""
-        evaluator = self.evaluator
-        batch = self.batch
-        best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = seed
-        pos = 0
-        total = len(candidates)
-        limit = _FIRST_WINDOW
-        while pos < total:
-            evaluator.check_deadline()
-            #: (flat key, cached result or None, fresh solution or None)
-            window: List[tuple] = []
-            while pos < total and len(window) < limit:
-                bound, flat, sizes, ai = candidates[pos]
-                if best_rank is not None and (bound, flat) >= best_rank:
-                    remaining = total - pos
-                    self._pruned += remaining
-                    engine.note_pruned(remaining)
-                    pos = total
-                    break
-                pos += 1
-                solution = self._solution(sizes, groups_maps[ai])
-                hit = evaluator.peek(solution)
-                if hit is not None:
-                    window.append((flat, hit, None))
-                    continue
-                refined = self.bounds.refine(
-                    bound, sizes, self._assignments[ai])
-                if math.isinf(refined) or (
-                        best_rank is not None and
-                        (refined, flat) >= best_rank):
-                    self._prune_one(engine, solution.key(), refined)
-                    continue
-                window.append((flat, None, solution))
-            limit = min(limit * 2, _BATCH_WINDOW)
-            if not window:
-                continue
-            scored = iter(batch.evaluate_batch(
-                [solution for _, hit, solution in window
-                 if hit is None]))
-            for flat, hit, _solution in window:
-                result = hit if hit is not None else next(scored)
-                if result.feasible:
-                    rank = (result.makespan_ns, flat)
-                    if best_rank is None or rank < best_rank:
-                        best, best_rank = result, rank
-        return best
-
-    # -- windowed parallel walk --------------------------------------------
-
-    def _search_parallel(self, engine: EvaluationEngine,
-                         candidates: Sequence[_Candidate],
-                         groups_maps: List[Dict[str, int]],
-                         seed: Optional[tuple]
-                         ) -> Optional[MakespanResult]:
-        """Sliding-window dispatch: screen candidates in sorted order,
-        keep a bounded number of chunks in flight, harvest strictly in
-        submission order.  Workers re-check each candidate's bound
-        against the freshest incumbent (shipped rank + shared cell), so
-        chunks screened against a stale incumbent still skip planning.
-        The winner matches the serial walk bit for bit; only the
-        evaluated/pruned split depends on timing."""
-        evaluator = self.evaluator
-        window = engine.jobs * 2
-        pending: deque = deque()
-        best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = seed
-        pos = 0
-        total = len(candidates)
-        exhausted = False
-
-        def adopt(result: Optional[MakespanResult],
-                  flat: Tuple[int, ...]) -> None:
-            nonlocal best, best_rank
-            if result is None or not result.feasible:
-                return
-            rank = (result.makespan_ns, flat)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = result, rank
-                engine.publish_incumbent(result.makespan_ns)
-
-        while not exhausted or pending:
-            while not exhausted and len(pending) < window:
-                requests: List[tuple] = []
-                entries: List[tuple] = []
-                while pos < total and len(requests) < _CHUNK_SIZE:
-                    bound, flat, sizes, ai = candidates[pos]
-                    if best_rank is not None and (bound, flat) >= best_rank:
-                        remaining = total - pos
-                        self._pruned += remaining
-                        engine.note_pruned(remaining)
-                        pos = total
-                        break
-                    pos += 1
-                    solution = self._solution(sizes, groups_maps[ai])
-                    hit = evaluator.peek(solution)
-                    if hit is not None:
-                        adopt(hit, flat)
-                        continue
-                    refined = self.bounds.refine(
-                        bound, sizes, self._assignments[ai])
-                    if math.isinf(refined) or (
-                            best_rank is not None and
-                            (refined, flat) >= best_rank):
-                        self._prune_one(engine, solution.key(), refined)
-                        continue
-                    requests.append((solution.tile_sizes,
-                                     solution.thread_groups, refined, flat))
-                    entries.append((solution, flat, refined))
-                if pos >= total:
-                    exhausted = True
-                if requests:
-                    evaluator.check_deadline()
-                    pending.append((
-                        engine.submit_bounded(requests, best_rank), entries))
-                elif exhausted:
-                    break
-            if pending:
-                reply, entries = pending.popleft()
-                results = engine.harvest_bounded(
-                    reply, [entry[0] for entry in entries])
-                for (solution, flat, refined), result in zip(
-                        entries, results):
-                    if result is None:
-                        # Worker-side prune; the engine counted it.
-                        self._pruned += 1
-                        if evaluator.persist_bound(solution.key(), refined):
-                            self._bound_hits += 1
-                            engine.note_bound_hit()
-                    else:
-                        adopt(result, flat)
-        return best

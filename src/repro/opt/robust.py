@@ -66,11 +66,10 @@ from .engine import EngineMetrics, EvaluationEngine, effective_jobs
 from .pruned import (
     DEFAULT_PRUNED_MAX_POINTS,
     PrunedOptimizer,
-    enumerate_candidates,
+    candidate_space,
     validate_shard,
 )
 from .solution import Solution
-from .threadgroups import generate_nondominated_thread_groups
 from .vectorized import BatchEvaluator
 
 #: The supported risk objectives.
@@ -343,19 +342,12 @@ class RobustOptimizer:
             modes=self._nominal_search.evaluator.planner.modes,
         )
         check = self._nominal_search.evaluator.check_deadline
-        assignments = generate_nondominated_thread_groups(
-            cores, self.component)
-        nodes = self.component.nodes
-
-        candidates, groups_maps, pruned = enumerate_candidates(
-            self.component, assignments, bounds, check,
-            vectorize=self.vectorize)
-        self._pruned += pruned
-        if self.shard_of is not None:
-            # Same round-robin slice as the nominal search: sorted, so
-            # the tail prune below stays valid within the shard.
-            index, count = self.shard_of
-            candidates = candidates[index::count]
+        space = candidate_space(
+            self.component, cores, bounds, check,
+            max_points=self._nominal_search.max_points, strategy="robust",
+            vectorize=self.vectorize, shard_of=self.shard_of)
+        self._pruned += space.pruned
+        candidates = space.candidates
 
         finalists: Dict[Tuple[int, ...], Tuple[float, Solution]] = {}
         for pos, (bound, flat, sizes, ai) in enumerate(candidates):
@@ -366,14 +358,11 @@ class RobustOptimizer:
                 # incumbent's (risk, key) rank too.
                 self._pruned += len(candidates) - pos
                 break
-            refined = bounds.refine(bound, sizes, assignments[ai])
+            refined = bounds.refine(bound, sizes, space.assignments[ai])
             if math.isinf(refined) or (refined, flat) >= incumbent_rank:
                 self._pruned += 1
                 continue
-            finalists[flat] = (refined, Solution(
-                self.component,
-                {node.var: k for node, k in zip(nodes, sizes)},
-                groups_maps[ai]))
+            finalists[flat] = (refined, space.solution(sizes, ai))
         return finalists
 
     # -- phase C: scenario-major scoring -----------------------------------

@@ -381,7 +381,9 @@ def bounding_box(component: TilableComponent, array_name: str,
     Hulls are monotone in the tile box, so the full (non-remainder) tile
     dominates the last one; the samples are the first and last tile per
     level plus, per single-iterator guard on a level, the tiles where the
-    guard switches (see :func:`_sample_tiles`).
+    guard switches.  A level whose iterator has different non-zero
+    coefficients in one dimension's subscripts is sampled at every tile
+    (see :func:`_sample_tiles`).
     """
     pairs = component.accesses(array_name)
     if not pairs:
@@ -413,16 +415,39 @@ def _sample_tiles(component: TilableComponent,
                   rows: Sequence[AccessRow]) -> Iterable[Dict[str, int]]:
     """Tile indices crossed over levels: per level the first and last
     tile, plus the tiles where a guard on the level switches
-    (:func:`guard_tiles`)."""
+    (:func:`guard_tiles`) — or every tile of a level whose iterator
+    carries different non-zero coefficients in one dimension
+    (:func:`_mixed_coefficients`)."""
+    mixed = _mixed_coefficients(rows)
     per_level: List[List[int]] = []
     for node in component.nodes:
         size = tile_sizes[node.var]
         count = -(-node.N // size)
+        if node.var in mixed:
+            per_level.append(list(range(count)))
+            continue
         per_level.append(sorted(
             {0, count - 1} | guard_tiles(rows, node, size)))
     band = component.band_vars
     for indices in product(*per_level):
         yield dict(zip(band, indices))
+
+
+def _mixed_coefficients(rows: Sequence[AccessRow]) -> Set[str]:
+    """Iterators that carry two different non-zero coefficients in one
+    dimension's subscripts.  ``A[2p]`` and ``A[p + 3]`` make ``p`` one:
+    their hull over a tile of ``p`` can be wider in a middle tile than
+    in the first or last.  A subscript without the iterator does not
+    count: its range stays put while the tile slides, so the hull is
+    widest at an end tile."""
+    seen: Dict[Tuple[int, str], int] = {}
+    mixed: Set[str] = set()
+    for _read, _write, _guards, dims in rows:
+        for dim, (_constant, terms) in enumerate(dims):
+            for var, coeff in terms:
+                if seen.setdefault((dim, var), coeff) != coeff:
+                    mixed.add(var)
+    return mixed
 
 
 def guard_tiles(rows: Sequence[AccessRow], node,

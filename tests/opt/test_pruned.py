@@ -5,7 +5,8 @@ winner — same makespan, same solution key, same feasibility — as the
 unpruned `ExhaustiveOptimizer`, on any component, serial or parallel,
 cold or against a warm persistent cache.  The evaluation count is
 exactly what pruning reduces, so it is the one field deliberately
-outside the contract.
+outside that contract; between pruned runs that differ only in `jobs`
+or `vectorize`, the evaluated/pruned split must match too.
 """
 
 import math
@@ -159,15 +160,34 @@ class TestWinnerParity:
         assert pruned.best is None
         _assert_parity(exhaustive, pruned)
 
-    @needs_fork
-    def test_parallel_matches_serial(self, lstm_small):
+    @pytest.mark.parametrize("jobs,vectorize", [
+        (1, True), (1, False),
+        pytest.param(2, True, marks=needs_fork),
+        pytest.param(2, False, marks=needs_fork)])
+    def test_parallel_matches_serial(self, lstm_small, tmp_path, jobs,
+                                     vectorize):
+        # One walk for every engine: the evaluated/pruned split, not
+        # just the winner, must not depend on jobs or vectorize, and a
+        # warm re-run must replay the cold run's prunes.
         comp, model = lstm_small
         platform = Platform()
         with eight_cpus():
-            serial = PrunedOptimizer(comp, platform, model).optimize()
-            parallel = PrunedOptimizer(
-                comp, platform, model, jobs=2).optimize()
-        _assert_parity(serial, parallel)
+            reference = PrunedOptimizer(comp, platform, model).optimize()
+            cold = PrunedOptimizer(
+                comp, platform, model, jobs=jobs, vectorize=vectorize,
+                cache=PersistentCache(tmp_path)).optimize()
+            persisted = PersistentCache(tmp_path).stats()["bound_entries"]
+            warm = PrunedOptimizer(
+                comp, platform, model, jobs=jobs, vectorize=vectorize,
+                cache=PersistentCache(tmp_path)).optimize()
+
+        def counts(result):
+            return result.evaluations, result.pruned, result.bound_hits
+
+        _assert_parity(reference, cold)
+        _assert_parity(reference, warm)
+        assert counts(cold) == counts(reference)
+        assert counts(warm) == (0, reference.pruned, persisted)
 
     def test_space_guard_still_applies(self, lstm_small):
         comp, model = lstm_small

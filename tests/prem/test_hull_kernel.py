@@ -6,8 +6,8 @@ replaced.  Fixed-seed draws compare the two bound for bound on every
 corpus component at MINI and SMALL and on generated guarded kernels,
 including the outer-coefficient mismatch that widens a dimension.  The
 guard-aware bounding-box sampling is checked on the corpus (unchanged
-boxes) and on a kernel whose guard enables a statement only in an
-interior tile.
+boxes), on a kernel whose guard enables a statement only in an interior
+tile, and on one whose hull is widest in a middle tile.
 """
 
 import random
@@ -25,7 +25,12 @@ from repro.loopir.component import TilableComponent
 from repro.poly.access import Array
 from repro.poly.affine import AffineExpr
 from repro.poly.constraint import EQ, GE, Constraint
-from repro.prem.ranges import access_range, bounding_box, tile_box
+from repro.prem.ranges import (
+    access_range,
+    bounding_box,
+    canonical_range,
+    tile_box,
+)
 from repro.prem.segments import ArrayGeometry
 from repro.timing.platform import Platform
 
@@ -281,3 +286,37 @@ class TestInteriorGuardTile:
             assert [c.solution.key() for c in result.components] == \
                 [(("p", 16, 1),)]
             assert "swap_buffer(C_buf1" in code["(p)"]
+
+
+# -- a hull that is widest in a middle tile --------------------------------
+
+
+def mixed_coefficient_component():
+    """``B[p] = A[2p]; C[p] = A[p + 3]`` for p < 11: the two subscripts
+    of A's one dimension carry different coefficients on p."""
+    a, b, c = Array("A", (21,)), Array("B", (11,)), Array("C", (11,))
+    arrays = {"A": a, "B": b, "C": c}
+    s1 = stmt_("S1", arrays, reads={"A": ("2*p",)}, writes={"B": ("p",)})
+    s2 = stmt_("S2", arrays, reads={"A": ("p + 3",)}, writes={"C": ("p",)})
+    tree = LoopTree.build(
+        kernel_("mixed", [a, b, c], [for_("p", 11, s1, s2)]))
+    return TilableComponent(tree, (tree.roots[0],))
+
+
+class TestMixedCoefficientBox:
+    """With K = 5 the first tile's hull of A is 9 elements, the last
+    (remainder) tile's 8, the middle tile's 11: sampling the end tiles
+    alone under-sized A's buffer."""
+
+    def test_middle_tile_sizes_the_box(self):
+        comp = mixed_coefficient_component()
+        assert bounding_box(comp, "A", {"p": 5}) == (11,)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_box_covers_every_tile(self, k):
+        comp = mixed_coefficient_component()
+        box = bounding_box(comp, "A", {"p": k})
+        for index in range(-(-11 // k)):
+            tile = canonical_range(
+                comp, "A", tile_box(comp, {"p": index}, {"p": k}))
+            assert all(b >= s for b, s in zip(box, tile.shape)), (k, index)
